@@ -56,11 +56,10 @@ def _cache_root(args) -> Path:
     return Path(args.workspace) / ".iterflow"
 
 
-def _config(args, clock_default: str = CLOCK_REAL) -> RunConfig:
+def _config(args) -> RunConfig:
     return RunConfig(
-        clock_mode=getattr(args, "clock", clock_default),
+        clock_mode=getattr(args, "clock", CLOCK_REAL),
         budget_bytes=getattr(args, "budget_bytes", None),
-        policy_name="engine",
         direction=PolicyDirection(getattr(args, "policy_direction", "savings-positive")),
     )
 
@@ -125,9 +124,7 @@ def cmd_diff(args) -> int:
 
 def cmd_run(args) -> int:
     if args.dry_run:
-        ctx = _prepare_readonly(args)
-        _print_plan(ctx, args.json, sys.stdout)
-        return EXIT_OK
+        return cmd_plan(args)
     report = run_iteration(args.spec, args.workspace, _cache_root(args), _config(args))
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
@@ -194,8 +191,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workspace", default=".", help="directory containing source files")
     parser.add_argument("--cache", default=None,
                         help=f"cache root (default: <workspace>/.iterflow or ${CACHE_ENV_VAR})")
-    parser.add_argument("--policy-direction", default="savings-positive",
-                        choices=[d.value for d in PolicyDirection])
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -208,6 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one iteration")
     _add_common(p_run)
+    p_run.add_argument("--policy-direction", default="savings-positive",
+                       choices=[d.value for d in PolicyDirection])
     p_run.add_argument("--budget-bytes", type=int, default=None,
                        help="storage budget for new materializations (default: unlimited)")
     p_run.add_argument("--clock", default=CLOCK_REAL, choices=[CLOCK_REAL, CLOCK_SIMULATED])

@@ -104,19 +104,5 @@ class CacheLockedError(CacheError):
         self.holder_pid = holder_pid
 
 
-class OperatorFailedError(IterflowError):
-    def __init__(self, node: str, exit_code: int):
-        super().__init__(f"operator {node!r} failed with exit code {exit_code}")
-        self.node = node
-        self.exit_code = exit_code
-
-
-class LoadFailedError(IterflowError):
-    def __init__(self, node: str, reason: str):
-        super().__init__(f"loading cached output of {node!r} failed: {reason}")
-        self.node = node
-        self.reason = reason
-
-
 class InvalidConfigError(IterflowError):
     """A run was configured inconsistently (bad paths, clock/action mismatch)."""

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import InfiniteCostError, TooLargeError
 
 
@@ -69,9 +67,6 @@ class ExecutionPlan:
     total_cost_seconds: float
     total_cost_micros: int
 
-    def nodes_in(self, state: NodeState) -> list[str]:
-        return sorted(n for n, s in self.states.items() if s is state)
-
     def to_json(self) -> dict:
         return {
             "states": {name: state.value for name, state in sorted(self.states.items())},
@@ -86,11 +81,7 @@ def _micros(seconds: float) -> int:
     return round(seconds * _MICROS)
 
 
-def plan_cost(states: Mapping[str, NodeState], costs: Mapping[str, CostRecord]) -> float:
-    """Objective value of an assignment: compute + load times, prune free.
-
-    Raises InfiniteCostError if a loaded node has no cached copy.
-    """
+def _cost_micros(states: Mapping[str, NodeState], costs: Mapping[str, CostRecord]) -> int:
     total = 0
     for name, state in states.items():
         record = costs[name]
@@ -100,7 +91,15 @@ def plan_cost(states: Mapping[str, NodeState], costs: Mapping[str, CostRecord]) 
             if not record.cached:
                 raise InfiniteCostError(name)
             total += _micros(record.load_seconds)
-    return total / _MICROS
+    return total
+
+
+def plan_cost(states: Mapping[str, NodeState], costs: Mapping[str, CostRecord]) -> float:
+    """Objective value of an assignment: compute + load times, prune free.
+
+    Raises InfiniteCostError if a loaded node has no cached copy.
+    """
+    return _cost_micros(states, costs) / _MICROS
 
 
 def check_plan_legality(
@@ -238,12 +237,7 @@ def _finish_plan(
     violations = check_plan_legality(dag, costs, mandatory, sinks, states)
     if violations:
         raise AssertionError("planner produced an illegal plan: " + "; ".join(violations))
-    total = 0
-    for name, state in states.items():
-        if state is NodeState.COMPUTE:
-            total += _micros(costs[name].compute_seconds)
-        elif state is NodeState.LOAD:
-            total += _micros(costs[name].load_seconds)
+    total = _cost_micros(states, costs)
     ordered = {name: states[name] for name in sorted(states)}
     return ExecutionPlan(states=ordered, total_cost_seconds=total / _MICROS,
                          total_cost_micros=total)
@@ -339,6 +333,8 @@ def assign_states_bruteforce(
     exactly the planner's tie-break.  Vectorized with numpy and chunked to
     bound memory; refuses more than 15 nodes.
     """
+    import numpy as np  # only the oracle needs it; keeps CLI start-up light
+
     names, mandatory_set, sink_set = _normalize(dag, costs, mandatory, sinks)
     n = len(names)
     if n > _BRUTEFORCE_LIMIT:

@@ -31,7 +31,7 @@ from .planner import (
     assign_states_optimal,
 )
 from .policy import PolicyDirection, StorageBudget, make_policy
-from .store import CacheManifest, CacheStore
+from .store import CacheManifest, CacheStore, HistoryRecord
 from .workflow import (
     CommandAction,
     OperatorNode,
@@ -45,7 +45,9 @@ from .workflow import (
 CLOCK_REAL = "real"
 CLOCK_SIMULATED = "simulated"
 
-DEFAULT_DISK_BANDWIDTH = 100e6  # bytes per second, used to estimate load times
+DISK_BANDWIDTH = 100e6  # bytes per second, used to estimate load times
+# Planning cost of a command operator that was never measured.
+DEFAULT_COMPUTE_SECONDS = 1.0
 
 
 @dataclass
@@ -54,8 +56,6 @@ class RunConfig:
     budget_bytes: int | None = None
     policy_name: str = "engine"
     direction: PolicyDirection = PolicyDirection.SAVINGS_POSITIVE
-    disk_bandwidth: float = DEFAULT_DISK_BANDWIDTH
-    default_compute_seconds: float = 1.0
 
 
 @dataclass
@@ -112,11 +112,17 @@ class RunReport:
         }
 
 
+def _load_estimate(history: HistoryRecord | None, nbytes: int) -> float:
+    """Measured load time of the node name, else its size over disk bandwidth."""
+    if history is not None and history.load_seconds is not None:
+        return history.load_seconds
+    return nbytes / DISK_BANDWIDTH
+
+
 def build_cost_views(
     spec: WorkflowSpec,
     signatures: Mapping[str, str],
     manifest: CacheManifest,
-    config: RunConfig,
 ) -> tuple[dict[str, CostRecord], dict[str, CostRecord]]:
     """Two views of per-node costs.
 
@@ -140,11 +146,9 @@ def build_cost_views(
             compute = history.compute_seconds
             nbytes = history.output_bytes
         else:
-            compute = config.default_compute_seconds
+            compute = DEFAULT_COMPUTE_SECONDS
             nbytes = 0
-        measured_load = history.load_seconds if history else None
-        est_load = measured_load if measured_load is not None \
-            else nbytes / config.disk_bandwidth
+        est_load = _load_estimate(history, nbytes)
         est_costs[node.name] = CostRecord(compute, est_load, nbytes)
 
         entry = manifest.entries.get(signatures[node.name])
@@ -192,7 +196,7 @@ def prepare(
         raise InvalidConfigError(f"unknown clock mode {config.clock_mode!r}")
     signatures = compute_signatures(spec, workspace)
     changes = diff_iterations(manifest.previous_signatures, signatures)
-    plan_costs, est_costs = build_cost_views(spec, signatures, manifest, config)
+    plan_costs, est_costs = build_cost_views(spec, signatures, manifest)
     # Changed nodes must be recomputed unless a bit-identical output is
     # already cached under the new signature (an edit that was reverted).
     mandatory = {
@@ -226,13 +230,15 @@ def _substitute(argv: tuple[str, ...], output: str,
 
 class _Executor:
     def __init__(self, ctx: PlanContext, store: CacheStore, policy,
-                 budget: StorageBudget, config: RunConfig, workspace: Path):
+                 budget: StorageBudget, config: RunConfig, workspace: Path | str):
         self.ctx = ctx
         self.store = store
         self.policy = policy
         self.budget = budget
-        self.config = config
-        self.workspace = Path(workspace)
+        # Operators run with the workspace as their cwd, so every path handed
+        # to them must not depend on the caller's cwd.
+        self.workspace = Path(workspace).resolve()
+        self.scratch = (store.root / "scratch").resolve()
         self.simulated = config.clock_mode == CLOCK_SIMULATED
         self.available: set[str] = set()
         self.records: dict[str, NodeRunRecord] = {}
@@ -241,7 +247,7 @@ class _Executor:
     def output_path(self, node: OperatorNode) -> Path:
         if isinstance(node.action, CommandAction):
             return self.workspace / node.action.output
-        return self.store.root / "scratch" / f"{node.name}.bin"
+        return self.scratch / f"{node.name}.bin"
 
     def _stub_payload(self, node: OperatorNode) -> bytes:
         return f"simulated:{node.name}:{self.ctx.signatures[node.name]}\n".encode()
@@ -321,7 +327,7 @@ class _Executor:
         else:
             cost_bytes = len(payload)
         self.store.record_costs(node.name, rec.wall_seconds, cost_bytes)
-        est_load = self.ctx.est_costs[node.name].load_seconds
+        est_load = _load_estimate(self.store.manifest.cost_history[node.name], cost_bytes)
         self.ctx.est_costs[node.name] = CostRecord(rec.wall_seconds, est_load, cost_bytes)
 
         decision = self.policy.decide(node.name, self.ctx.est_costs, self.dag, self.budget)
@@ -363,9 +369,10 @@ def execute(
 
     A failed operator aborts every compute that depends on it; independent
     chains keep running.  Completed materializations stay in the cache, and
-    the previous-run signature map advances only when everything succeeded.
+    the previous-run signature map advances only when everything succeeded;
+    closing ``store`` persists the manifest.
     """
-    runner = _Executor(ctx, store, policy, budget, config, Path(workspace))
+    runner = _Executor(ctx, store, policy, budget, config, workspace)
     records, succeeded = runner.run()
     compute_s = sum(r.wall_seconds for r in records.values() if r.state == "compute")
     load_s = sum(r.wall_seconds for r in records.values() if r.state == "load")
@@ -373,7 +380,6 @@ def execute(
     total = compute_s + load_s + mat_s
     if succeeded:
         store.manifest.previous_signatures = dict(ctx.signatures)
-    store.save()
     return RunReport(
         iteration_index=iteration_index,
         clock_mode=config.clock_mode,

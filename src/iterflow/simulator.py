@@ -174,18 +174,6 @@ def simulate(
         return SimulationResult(policy=policy_name, rows=rows, reports=reports)
 
 
-def compare_policies(
-    spec: WorkflowSpec,
-    trace: IterationTrace,
-    policies: Iterable[str],
-    direction: PolicyDirection = PolicyDirection.SAVINGS_POSITIVE,
-    budget_bytes: int | None = None,
-) -> dict[str, SimulationResult]:
-    return {
-        name: simulate(spec, trace, name, direction, budget_bytes) for name in policies
-    }
-
-
 def format_table(results: Iterable[SimulationResult]) -> str:
     """Tab-separated comparison table, one row per policy and iteration."""
     lines = ["iteration\tkind\tpolicy\titeration_seconds\tcumulative_seconds"]

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
 
+from .changes import HASH_ALGORITHM
 from .errors import (
     CacheLockedError,
     CorruptEntryError,
@@ -40,7 +41,6 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 MANIFEST_VERSION = 1
-HASH_ALGORITHM = "sha256"
 
 # Exponential moving average weight for observed load times.
 _LOAD_EMA_ALPHA = 0.5
@@ -265,9 +265,6 @@ class CacheStore:
 
     def _payload_path(self, signature: str) -> Path:
         return self.root / "objects" / signature[:2] / f"{signature}.bin"
-
-    def has(self, signature: str) -> bool:
-        return signature in self.manifest.entries
 
     def put(self, node_name: str, signature: str, payload: bytes,
             compute_seconds: float, charged_bytes: int | None = None) -> CacheEntry:

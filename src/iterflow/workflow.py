@@ -42,16 +42,10 @@ class CommandAction:
     """
 
     argv: tuple[str, ...]
-    inputs: tuple[str, ...] = ()
     output: str = ""
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "type": "command",
-            "argv": list(self.argv),
-            "inputs": list(self.inputs),
-            "output": self.output,
-        }
+        return {"type": "command", "argv": list(self.argv), "output": self.output}
 
 
 @dataclass(frozen=True)
@@ -183,16 +177,15 @@ def _parse_action(doc: Any, where: str) -> Action:
              f"{where}: action must be an object with a 'type' tag")
     kind = doc["type"]
     if kind == "command":
-        _check_keys(doc, {"type", "argv", "output"}, {"inputs"}, where)
+        _require("inputs" not in doc,
+                 f"{where}.inputs: no longer supported; list watched files under "
+                 "the operator's 'sources'")
+        _check_keys(doc, {"type", "argv", "output"}, set(), where)
         argv = _string_list(doc["argv"], f"{where}.argv")
         _require(len(argv) > 0, f"{where}.argv: must not be empty")
         _require(isinstance(doc["output"], str) and doc["output"],
                  f"{where}.output: expected a non-empty path")
-        return CommandAction(
-            argv=argv,
-            inputs=_string_list(doc.get("inputs", []), f"{where}.inputs"),
-            output=doc["output"],
-        )
+        return CommandAction(argv=argv, output=doc["output"])
     if kind == "simulated":
         _check_keys(doc, {"type", "compute_seconds", "output_bytes"}, set(), where)
         seconds = doc["compute_seconds"]
@@ -323,6 +316,8 @@ def prune_dead_operators(spec: WorkflowSpec) -> tuple[WorkflowSpec, set[str]]:
     """Drop operators that cannot reach any declared output.
 
     Returns the pruned spec (node order preserved) and the removed names.
+    ``spec`` must be validated; the kept nodes are closed under parents, so
+    the pruned spec is valid as well and is not checked again.
     """
     kept: set[str] = set()
     frontier = list(spec.outputs)
@@ -340,20 +335,7 @@ def prune_dead_operators(spec: WorkflowSpec) -> tuple[WorkflowSpec, set[str]]:
         nodes=tuple(n for n in spec.nodes if n.name in kept),
         outputs=spec.outputs,
     )
-    return validate(pruned), removed
-
-
-def ancestors(spec: WorkflowSpec, name: str) -> set[str]:
-    """All nodes with a directed path into ``name`` (excludes the node)."""
-    found: set[str] = set()
-    frontier = list(spec.node(name).parents)
-    while frontier:
-        cur = frontier.pop()
-        if cur in found:
-            continue
-        found.add(cur)
-        frontier.extend(spec.node(cur).parents)
-    return found
+    return pruned, removed
 
 
 def descendants(spec: WorkflowSpec, name: str) -> set[str]:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import iterflow
 from iterflow.cli import main
 from iterflow.runner import RunConfig, CLOCK_SIMULATED, run_iteration
 from iterflow.workflow import serialize_workflow
@@ -76,11 +80,11 @@ class TestRun:
             "nodes": [
                 {"name": "boom", "kind": "ml",
                  "action": {"type": "command", "argv": ["sh", "-c", "exit 9"],
-                            "inputs": [], "output": "out/a.txt"},
+                            "output": "out/a.txt"},
                  "parents": [], "sources": ["data/in.txt"]},
                 {"name": "after", "kind": "ml",
                  "action": {"type": "command", "argv": ["sh", "-c", "cat {parent:boom} > {output}"],
-                            "inputs": [], "output": "out/b.txt"},
+                            "output": "out/b.txt"},
                  "parents": ["boom"], "sources": []},
             ],
             "outputs": ["after"],
@@ -101,6 +105,54 @@ class TestRun:
         assert code == 0
         assert "total_cost_seconds" in out
         assert not cache.exists()
+
+    def test_relative_paths_resolve_against_the_caller_cwd(self, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "ws" / "data").mkdir(parents=True)
+        (tmp_path / "ws" / "data" / "in.txt").write_text("hello\n")
+        (tmp_path / "ws" / "workflow.json").write_text(json.dumps({
+            "version": 1,
+            "nodes": [
+                {"name": "raw", "kind": "ml",
+                 "action": {"type": "command", "argv": ["sh", "-c", "cat data/in.txt > {output}"],
+                            "output": "out/raw.txt"},
+                 "parents": [], "sources": ["data/in.txt"]},
+                # a simulated operator's stand-in output lives in the cache
+                {"name": "stub", "kind": "ml",
+                 "action": {"type": "simulated", "compute_seconds": 1.0, "output_bytes": 1},
+                 "parents": [], "sources": ["data/in.txt"]},
+                {"name": "upper", "kind": "ml",
+                 "action": {"type": "command",
+                            "argv": ["sh", "-c",
+                                     "cat {parent:raw} {parent:stub} | tr a-z A-Z > {output}"],
+                            "output": "out/upper.txt"},
+                 "parents": ["raw", "stub"], "sources": []},
+            ],
+            "outputs": ["upper"],
+        }))
+        argv = ["run", "--spec", "ws/workflow.json", "--workspace", "ws", "--cache", "cache"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        upper = tmp_path / "ws" / "out" / "upper.txt"
+        cold = upper.read_bytes()
+        assert cold.startswith(b"HELLO\nSIMULATED:STUB:")
+
+        upper.unlink()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert "upper\tload" in out
+        assert upper.read_bytes() == cold
+
+
+def test_import_does_not_load_numpy():
+    # numpy serves only the brute-force oracle; every CLI command would pay
+    # for importing it otherwise.
+    env = {**os.environ, "PYTHONPATH": str(Path(iterflow.__file__).resolve().parents[1])}
+    probe = "import sys, iterflow.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestPlan:

@@ -46,12 +46,12 @@ def command_spec_text() -> str:
         "nodes": [
             {"name": "raw", "kind": "data-preprocessing",
              "action": {"type": "command", "argv": ["sh", "-c", "cat data/in.txt > {output}"],
-                        "inputs": [], "output": "out/raw.txt"},
+                        "output": "out/raw.txt"},
              "parents": [], "sources": ["data/in.txt"]},
             {"name": "upper", "kind": "ml",
              "action": {"type": "command",
                         "argv": ["sh", "-c", "tr a-z A-Z < {parent:raw} > {output}"],
-                        "inputs": [], "output": "out/upper.txt"},
+                        "output": "out/upper.txt"},
              "parents": ["raw"], "sources": []},
         ],
         "outputs": ["upper"],
@@ -174,6 +174,30 @@ class TestRealCommands:
         assert second.nodes["upper"].state == "load"
         assert (ws / "out" / "upper.txt").read_bytes() == cold
 
+    def test_cold_run_does_not_persist_output_cheaper_to_recompute(self, env):
+        # Writing 20 MB of zeros takes milliseconds; loading it is estimated
+        # from its measured size, so the first run must not cache it.
+        ws, cache = env
+        (ws / "data").mkdir()
+        (ws / "data" / "in.txt").write_text("x")
+        path = ws / "workflow.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "nodes": [
+                {"name": "zeros", "kind": "ml",
+                 "action": {"type": "command",
+                            "argv": ["sh", "-c", "head -c 20000000 /dev/zero > {output}"],
+                            "output": "out/zeros.bin"},
+                 "parents": [], "sources": ["data/in.txt"]},
+            ],
+            "outputs": ["zeros"],
+        }))
+        report = run_iteration(path, ws, cache, RunConfig())
+        assert report.succeeded, report.failed_nodes
+        assert (ws / "out" / "zeros.bin").stat().st_size == 20_000_000
+        assert not report.nodes["zeros"].materialized
+        assert load_manifest(cache).entries == {}
+
     def test_failure_skips_dependents_but_not_independent_chains(self, env):
         ws, cache = env
         text = json.dumps({
@@ -181,15 +205,15 @@ class TestRealCommands:
             "nodes": [
                 {"name": "boom", "kind": "ml",
                  "action": {"type": "command", "argv": ["sh", "-c", "exit 7"],
-                            "inputs": [], "output": "out/boom.txt"},
+                            "output": "out/boom.txt"},
                  "parents": [], "sources": ["data/in.txt"]},
                 {"name": "after", "kind": "ml",
                  "action": {"type": "command", "argv": ["sh", "-c", "cat {parent:boom} > {output}"],
-                            "inputs": [], "output": "out/after.txt"},
+                            "output": "out/after.txt"},
                  "parents": ["boom"], "sources": []},
                 {"name": "solo", "kind": "ml",
                  "action": {"type": "command", "argv": ["sh", "-c", "echo ok > {output}"],
-                            "inputs": [], "output": "out/solo.txt"},
+                            "output": "out/solo.txt"},
                  "parents": [], "sources": ["data/in.txt"]},
             ],
             "outputs": ["after", "solo"],

@@ -78,6 +78,16 @@ class TestParse:
             parse_workflow(doc(nodes, ["x"]))
         assert "retries" in str(err.value)
 
+    def test_command_inputs_rejected_with_pointer_to_sources(self):
+        # "inputs" was a second watched-file list whose files were never
+        # fingerprinted; "sources" is the one list change detection reads.
+        bad = node_doc("x")
+        bad["action"] = {"type": "command", "argv": ["true"], "inputs": ["data.csv"],
+                         "output": "out/x.txt"}
+        with pytest.raises(WorkflowSyntaxError) as err:
+            parse_workflow(doc([bad], ["x"]))
+        assert "inputs" in str(err.value) and "sources" in str(err.value)
+
     def test_unknown_action_type(self):
         bad = node_doc("x")
         bad["action"] = {"type": "python", "callable": "f"}
@@ -114,7 +124,6 @@ class TestSerializeRoundTrip:
                     "action": {
                         "type": "command",
                         "argv": ["sh", "-c", "tr a-z A-Z < {parent:raw} > {output}"],
-                        "inputs": [],
                         "output": "out/upper.txt",
                     },
                     "parents": ["raw"],
