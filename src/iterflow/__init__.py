@@ -17,10 +17,10 @@ from .planner import (
     plan_cost,
 )
 from .policy import (
+    POLICIES,
+    EnginePolicy,
     MaterializationDecision,
-    PolicyDirection,
     StorageBudget,
-    decide,
     r_value,
 )
 from .runner import RunConfig, RunReport, execute, prepare, run_iteration
@@ -45,13 +45,14 @@ __all__ = [
     "CacheStore",
     "CommandAction",
     "CostRecord",
+    "EnginePolicy",
     "ExecutionPlan",
     "IterationTrace",
     "IterflowError",
     "MaterializationDecision",
     "NodeState",
     "OperatorNode",
-    "PolicyDirection",
+    "POLICIES",
     "RunConfig",
     "RunReport",
     "SimulatedAction",
@@ -60,7 +61,6 @@ __all__ = [
     "assign_states_bruteforce",
     "assign_states_optimal",
     "compute_signatures",
-    "decide",
     "diff_iterations",
     "execute",
     "generate_trace",

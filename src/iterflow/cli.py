@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .errors import CacheLockedError, IterflowError
-from .policy import POLICY_NAMES, PolicyDirection
+from .policy import POLICIES, EnginePolicy
 from .runner import (
     CLOCK_REAL,
     CLOCK_SIMULATED,
@@ -60,7 +60,6 @@ def _config(args) -> RunConfig:
     return RunConfig(
         clock_mode=getattr(args, "clock", CLOCK_REAL),
         budget_bytes=getattr(args, "budget_bytes", None),
-        direction=PolicyDirection(getattr(args, "policy_direction", "savings-positive")),
     )
 
 
@@ -164,6 +163,9 @@ def cmd_cache(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    names = args.policies.split(",")
+    for name in names:
+        EnginePolicy(name)  # an unknown name fails here, before anything runs
     if args.spec:
         spec = parse_workflow(Path(args.spec).read_text("utf-8"))
     else:
@@ -173,11 +175,9 @@ def cmd_simulate(args) -> int:
         parts = [float(x) for x in args.frequencies.split(",")]
         frequencies = tuple(parts)  # validated by generate_trace
     trace = generate_trace(spec, frequencies, args.iterations, args.seed)
-    direction = PolicyDirection(args.policy_direction)
     results = [
-        simulate(spec, trace, policy_name=name, direction=direction,
-                 budget_bytes=args.budget_bytes)
-        for name in args.policies.split(",")
+        simulate(spec, trace, policy_name=name, budget_bytes=args.budget_bytes)
+        for name in names
     ]
     table = format_table(results)
     sys.stdout.write(table)
@@ -203,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one iteration")
     _add_common(p_run)
-    p_run.add_argument("--policy-direction", default="savings-positive",
-                       choices=[d.value for d in PolicyDirection])
     p_run.add_argument("--budget-bytes", type=int, default=None,
                        help="storage budget for new materializations (default: unlimited)")
     p_run.add_argument("--clock", default=CLOCK_REAL, choices=[CLOCK_REAL, CLOCK_SIMULATED])
@@ -233,14 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_sim.add_mutually_exclusive_group(required=True)
     group.add_argument("--scenario", choices=list(SCENARIO_NAMES))
     group.add_argument("--spec", help="a simulated-action workflow spec file")
-    p_sim.add_argument("--policies", default=",".join(POLICY_NAMES),
+    p_sim.add_argument("--policies", default=",".join(POLICIES),
                        help="comma-separated policy list")
     p_sim.add_argument("-n", "--iterations", type=int, default=10)
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--frequencies", default=None,
                        help="edit-kind frequencies as three comma-separated numbers")
-    p_sim.add_argument("--policy-direction", default="savings-positive",
-                       choices=[d.value for d in PolicyDirection])
     p_sim.add_argument("--budget-bytes", type=int, default=None)
     p_sim.add_argument("--out", default=None, help="also write the table to this file")
     p_sim.set_defaults(func=cmd_simulate)

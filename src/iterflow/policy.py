@@ -4,8 +4,8 @@ to persist its output for future runs.
 The decision weighs the full recompute chain of a node (its own compute
 time plus every ancestor's) against twice its load time, one write now plus
 one read later.  Call that balance the node's r-value.  The published rule
-and the sign that actually pays off disagree, so both directions are
-implemented and selectable; see PolicyDirection.
+and the sign that actually pays off disagree, so both are rows of
+``POLICIES``, next to the two baselines that persist everything or nothing.
 
 Decisions are strictly online: a node's decision may look at the node
 itself, its ancestors, and the running storage budget, never at anything
@@ -16,20 +16,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import UnknownCostError
 from .planner import CostRecord, Dag
 
 
-class PolicyDirection(str, Enum):
+# name -> (persist when the r-value satisfies this, charge a modeled write
+# cost equal to the node's load time).
+POLICIES: dict[str, tuple[Callable[[float], bool], bool]] = {
     # Persist when the recompute chain exceeds twice the load cost: caching
-    # expensive-to-rebuild nodes. Empirically the profitable reading.
-    SAVINGS_POSITIVE = "savings-positive"
+    # expensive-to-rebuild nodes.  Empirically the profitable reading.
+    "engine": (lambda r: r > 0, False),
+    # Baselines.  An indiscriminate writer pays for its writes, or the
+    # comparison against selective policies says nothing.
+    "materialize-all": (lambda r: True, True),
+    "materialize-none": (lambda r: False, False),
     # The predicate exactly as published: persist when the balance is
     # negative, i.e. cheap-to-rebuild nodes.  Kept runnable for comparison.
-    PAPER_LITERAL = "paper-literal"
+    "paper-literal": (lambda r: r < 0, False),
+}
 
 
 @dataclass
@@ -90,90 +96,25 @@ def r_value(node: str, costs: Mapping[str, CostRecord], dag: Dag) -> float:
     return recompute_chain_seconds(node, costs, dag) - 2.0 * load
 
 
-def decide(
-    node: str,
-    costs: Mapping[str, CostRecord],
-    dag: Dag,
-    budget: StorageBudget,
-    direction: PolicyDirection = PolicyDirection.SAVINGS_POSITIVE,
-) -> MaterializationDecision:
-    """Decide materialization for a node that just finished computing.
+class EnginePolicy:
+    """One row of ``POLICIES``, applied after each operator finishes.
 
     Never errors on a full budget; the node simply is not persisted.
     Charges the budget when it does decide to persist.
     """
-    r = r_value(node, costs, dag)
-    wants = r > 0 if direction is PolicyDirection.SAVINGS_POSITIVE else r < 0
-    nbytes = costs[node].output_bytes
-    materialize = wants and budget.fits(nbytes)
-    if materialize:
-        budget.charge(nbytes)
-    return MaterializationDecision(
-        node=node,
-        r_value=r,
-        materialize=materialize,
-        bytes_charged=nbytes if materialize else 0,
-    )
 
-
-class EnginePolicy:
-    """The r-value policy in the configured direction."""
-
-    name = "engine"
-
-    def __init__(self, direction: PolicyDirection = PolicyDirection.SAVINGS_POSITIVE):
-        self.direction = direction
-
-    def decide(self, node, costs, dag, budget) -> MaterializationDecision:
-        return decide(node, costs, dag, budget, self.direction)
-
-    def write_cost_seconds(self, node: str, costs: Mapping[str, CostRecord]) -> float:
-        return 0.0
-
-
-class MaterializeAllPolicy:
-    """Baseline: persist every computed node that fits the budget.
-
-    Each materialization is charged a modeled write cost equal to the
-    node's load time; an indiscriminate writer has to pay for its writes or
-    the comparison against selective policies says nothing.
-    """
-
-    name = "materialize-all"
+    def __init__(self, name: str = "engine"):
+        if name not in POLICIES:
+            raise ValueError(f"unknown policy {name!r} (choose from {', '.join(POLICIES)})")
+        self.persists, self.charges_write = POLICIES[name]
 
     def decide(self, node, costs, dag, budget) -> MaterializationDecision:
         r = r_value(node, costs, dag)
         nbytes = costs[node].output_bytes
-        materialize = budget.fits(nbytes)
+        materialize = self.persists(r) and budget.fits(nbytes)
         if materialize:
             budget.charge(nbytes)
-        return MaterializationDecision(node, r, materialize,
-                                       nbytes if materialize else 0)
+        return MaterializationDecision(node, r, materialize, nbytes if materialize else 0)
 
     def write_cost_seconds(self, node: str, costs: Mapping[str, CostRecord]) -> float:
-        return costs[node].load_seconds
-
-
-class MaterializeNonePolicy:
-    """Baseline: never persist anything."""
-
-    name = "materialize-none"
-
-    def decide(self, node, costs, dag, budget) -> MaterializationDecision:
-        return MaterializationDecision(node, r_value(node, costs, dag), False, 0)
-
-    def write_cost_seconds(self, node: str, costs: Mapping[str, CostRecord]) -> float:
-        return 0.0
-
-
-POLICY_NAMES = ("engine", "materialize-all", "materialize-none")
-
-
-def make_policy(name: str, direction: PolicyDirection = PolicyDirection.SAVINGS_POSITIVE):
-    if name == "engine":
-        return EnginePolicy(direction)
-    if name == "materialize-all":
-        return MaterializeAllPolicy()
-    if name == "materialize-none":
-        return MaterializeNonePolicy()
-    raise ValueError(f"unknown policy {name!r} (choose from {', '.join(POLICY_NAMES)})")
+        return costs[node].load_seconds if self.charges_write else 0.0

@@ -16,6 +16,8 @@ it requires a workflow made only of simulated actions.
 from __future__ import annotations
 
 import json
+import logging
+import mmap
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -30,7 +32,7 @@ from .planner import (
     NodeState,
     assign_states_optimal,
 )
-from .policy import PolicyDirection, StorageBudget, make_policy
+from .policy import EnginePolicy, StorageBudget
 from .store import CacheManifest, CacheStore, HistoryRecord
 from .workflow import (
     CommandAction,
@@ -41,6 +43,8 @@ from .workflow import (
     prune_dead_operators,
     topological_order,
 )
+
+logger = logging.getLogger(__name__)
 
 CLOCK_REAL = "real"
 CLOCK_SIMULATED = "simulated"
@@ -55,7 +59,6 @@ class RunConfig:
     clock_mode: str = CLOCK_REAL
     budget_bytes: int | None = None
     policy_name: str = "engine"
-    direction: PolicyDirection = PolicyDirection.SAVINGS_POSITIVE
 
 
 @dataclass
@@ -400,19 +403,27 @@ def run_log_path(cache_root: Path | str) -> Path:
 
 
 def read_run_log_tail(cache_root: Path | str) -> tuple[int, float]:
-    """(number of logged runs, cumulative seconds so far)."""
+    """(iteration index, cumulative seconds) of the last complete record.
+
+    Searches backwards from the end of the log, so the cost does not grow
+    with the number of runs.  Bytes after the last newline are a record torn
+    by a crash mid-append; they are cut off so the next append starts a line
+    of its own.  Call with the writer lock held.
+    """
     path = run_log_path(cache_root)
-    if not path.is_file():
+    if not path.is_file() or path.stat().st_size == 0:  # mmap refuses empty files
         return 0, 0.0
-    count, cumulative = 0, 0.0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            count += 1
-            cumulative = json.loads(line)["totals"]["cumulative_seconds"]
-    return count, cumulative
+    with open(path, "rb+") as fh:
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as log:
+            size, end = len(log), log.rfind(b"\n")
+            line = log[log.rfind(b"\n", 0, end) + 1:end]
+        if end + 1 < size:
+            logger.warning("cutting a torn record (%d bytes) off %s", size - end - 1, path)
+            fh.truncate(end + 1)
+    if end < 0:
+        return 0, 0.0
+    record = json.loads(line)
+    return record["iteration_index"], record["totals"]["cumulative_seconds"]
 
 
 def append_run_log(cache_root: Path | str, report: RunReport) -> None:
@@ -431,11 +442,11 @@ def run_iteration(
     spec_text = Path(spec_path).read_text("utf-8")
     with CacheStore(cache_root) as store:
         ctx = prepare(spec_text, workspace, store.manifest, config)
-        policy = make_policy(config.policy_name, config.direction)
+        policy = EnginePolicy(config.policy_name)
         used = sum(e.charged_bytes for e in store.manifest.entries.values())
         budget = StorageBudget(config.budget_bytes, used_bytes=used)
-        count, cumulative = read_run_log_tail(cache_root)
+        last_index, cumulative = read_run_log_tail(cache_root)
         report = execute(ctx, store, policy, budget, config, workspace,
-                         iteration_index=count + 1, previous_cumulative=cumulative)
-    append_run_log(cache_root, report)
+                         iteration_index=last_index + 1, previous_cumulative=cumulative)
+        append_run_log(cache_root, report)
     return report

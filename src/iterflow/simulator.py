@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import KindAbsentError
-from .policy import PolicyDirection
 from .runner import CLOCK_SIMULATED, RunConfig, RunReport, run_iteration
 from .workflow import KINDS, WorkflowSpec, serialize_workflow
 
@@ -137,7 +136,6 @@ def simulate(
     spec: WorkflowSpec,
     trace: IterationTrace,
     policy_name: str = "engine",
-    direction: PolicyDirection = PolicyDirection.SAVINGS_POSITIVE,
     budget_bytes: int | None = None,
     workdir: Path | str | None = None,
 ) -> SimulationResult:
@@ -146,7 +144,6 @@ def simulate(
         clock_mode=CLOCK_SIMULATED,
         budget_bytes=budget_bytes,
         policy_name=policy_name,
-        direction=direction,
     )
     with tempfile.TemporaryDirectory(prefix="iterflow-sim-") as scratch:
         base = Path(workdir) if workdir is not None else Path(scratch)

@@ -46,6 +46,12 @@ MANIFEST_VERSION = 1
 _LOAD_EMA_ALPHA = 0.5
 
 
+def _ema(previous: float | None, observed: float) -> float:
+    if previous is None:
+        return observed
+    return _LOAD_EMA_ALPHA * observed + (1.0 - _LOAD_EMA_ALPHA) * previous
+
+
 @dataclass
 class CacheEntry:
     signature: str
@@ -342,22 +348,10 @@ class CacheStore:
     def _record_load_time(self, entry: CacheEntry, observed: float) -> None:
         if not self.writable:
             return
-        if entry.measured_load_seconds is None:
-            entry.measured_load_seconds = observed
-        else:
-            entry.measured_load_seconds = (
-                _LOAD_EMA_ALPHA * observed
-                + (1.0 - _LOAD_EMA_ALPHA) * entry.measured_load_seconds
-            )
+        entry.measured_load_seconds = _ema(entry.measured_load_seconds, observed)
         history = self.manifest.cost_history.get(entry.node_name)
         if history is not None:
-            if history.load_seconds is None:
-                history.load_seconds = observed
-            else:
-                history.load_seconds = (
-                    _LOAD_EMA_ALPHA * observed
-                    + (1.0 - _LOAD_EMA_ALPHA) * history.load_seconds
-                )
+            history.load_seconds = _ema(history.load_seconds, observed)
 
     def record_costs(self, node_name: str, compute_seconds: float,
                      output_bytes: int) -> None:

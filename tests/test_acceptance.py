@@ -21,7 +21,6 @@ from iterflow.planner import (
     assign_states_optimal,
     check_plan_legality,
 )
-from iterflow.policy import PolicyDirection
 from iterflow.runner import CLOCK_SIMULATED, RunConfig, prepare, run_iteration
 from iterflow.scenarios import load_scenario, scenario_text
 from iterflow.simulator import (
@@ -63,9 +62,7 @@ def golden_runs():
             "engine": simulate(spec, trace, "engine"),
             "materialize-all": simulate(spec, trace, "materialize-all"),
             "materialize-none": simulate(spec, trace, "materialize-none"),
-            "paper-literal": simulate(
-                spec, trace, "engine", direction=PolicyDirection.PAPER_LITERAL
-            ),
+            "paper-literal": simulate(spec, trace, "paper-literal"),
         }
     return results
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import iterflow
+from iterflow import cli
 from iterflow.cli import main
 from iterflow.runner import RunConfig, CLOCK_SIMULATED, run_iteration
 from iterflow.workflow import serialize_workflow
@@ -290,6 +291,15 @@ class TestSimulateCommand:
         assert out_file.read_text() == out
         lines = out.strip().split("\n")
         assert len(lines) == 1 + 3 * 2
+
+    def test_unknown_policy_fails_before_any_simulation(self, env, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "simulate", lambda *args, **kwargs: calls.append(args))
+        code, _, err = run_cli(capsys, "simulate", "--scenario", "classification",
+                               "-n", "2", "--policies", "engine,bogus")
+        assert code == 2
+        assert calls == []
+        assert "engine, materialize-all, materialize-none, paper-literal" in err
 
     def test_unknown_scenario_exits_two(self, env, capsys):
         code, _, err = run_cli(capsys, "simulate", "--scenario", "nope")

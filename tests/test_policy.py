@@ -5,15 +5,7 @@ import pytest
 
 from iterflow.errors import UnknownCostError
 from iterflow.planner import CostRecord
-from iterflow.policy import (
-    MaterializeAllPolicy,
-    MaterializeNonePolicy,
-    PolicyDirection,
-    StorageBudget,
-    decide,
-    make_policy,
-    r_value,
-)
+from iterflow.policy import POLICIES, EnginePolicy, StorageBudget, r_value
 
 from conftest import random_costs, random_dag
 
@@ -56,33 +48,26 @@ class TestDecide:
 
     def test_positive_balance_materializes_by_default(self):
         budget = StorageBudget(capacity_bytes=None)
-        decision = decide("b", self.costs, self.dag, budget)
+        decision = EnginePolicy().decide("b", self.costs, self.dag, budget)
         assert decision.materialize and decision.r_value == 9.0
         assert decision.bytes_charged == 500
 
-    def test_published_direction_flips_the_sign(self):
-        budget = StorageBudget(capacity_bytes=None)
-        decision = decide("b", self.costs, self.dag, budget,
-                          PolicyDirection.PAPER_LITERAL)
-        assert not decision.materialize
-        assert decision.bytes_charged == 0
-
     def test_budget_violation_suppresses_materialization(self):
         budget = StorageBudget(capacity_bytes=499)
-        decision = decide("b", self.costs, self.dag, budget)
+        decision = EnginePolicy().decide("b", self.costs, self.dag, budget)
         assert not decision.materialize
         assert budget.used_bytes == 0
 
     def test_budget_is_charged(self):
         budget = StorageBudget(capacity_bytes=600)
-        assert decide("b", self.costs, self.dag, budget).materialize
+        assert EnginePolicy().decide("b", self.costs, self.dag, budget).materialize
         assert budget.used_bytes == 500
         # a second identical output no longer fits
-        assert not decide("b", self.costs, self.dag, budget).materialize
+        assert not EnginePolicy().decide("b", self.costs, self.dag, budget).materialize
 
     def test_deterministic(self):
-        first = decide("b", self.costs, self.dag, StorageBudget(None))
-        second = decide("b", self.costs, self.dag, StorageBudget(None))
+        first = EnginePolicy().decide("b", self.costs, self.dag, StorageBudget(None))
+        second = EnginePolicy().decide("b", self.costs, self.dag, StorageBudget(None))
         assert first == second
 
 
@@ -106,8 +91,6 @@ def test_decision_reads_only_the_node_and_its_ancestors():
         }
         names = list(dag)
         node = names[rng.randrange(len(names))]
-        spy = _SpyCosts(plain)
-        decide(node, spy, dag, StorageBudget(None))
         allowed = {node}
         frontier = list(dag[node])
         while frontier:
@@ -115,7 +98,10 @@ def test_decision_reads_only_the_node_and_its_ancestors():
             if cur not in allowed:
                 allowed.add(cur)
                 frontier.extend(dag[cur])
-        assert spy.touched <= allowed
+        for name in POLICIES:
+            spy = _SpyCosts(plain)
+            EnginePolicy(name).decide(node, spy, dag, StorageBudget(None))
+            assert spy.touched <= allowed, name
 
 
 def test_budget_safety_over_a_run_of_decisions():
@@ -129,7 +115,7 @@ def test_budget_safety_over_a_run_of_decisions():
     budget = StorageBudget(capacity_bytes=1500)
     charged = 0
     for node in dag:
-        decision = decide(node, costs, dag, budget)
+        decision = EnginePolicy().decide(node, costs, dag, budget)
         charged += decision.bytes_charged
     assert charged <= 1500
     assert budget.used_bytes == charged
@@ -147,7 +133,43 @@ def test_expensive_chains_always_materialize_with_unlimited_budget():
         for node in dag:
             r = r_value(node, finite, dag)
             if r > 0:
-                assert decide(node, finite, dag, StorageBudget(None)).materialize
+                assert EnginePolicy().decide(node, finite, dag, StorageBudget(None)).materialize
+
+
+# Per row: whether it persists at r > 0, r < 0 and r == 0, and whether it
+# charges a modeled write cost.
+EXPECTED_ROWS = {
+    "engine": ((True, False, False), False),
+    "materialize-all": ((True, True, True), True),
+    "materialize-none": ((False, False, False), False),
+    "paper-literal": ((False, True, False), False),
+}
+
+# Node b's r-value is 9, -8 and 0 under these.
+SIGNED_COSTS = (
+    (9.0, finite_costs({"a": (10.0, 1.0, 100), "b": (5.0, 3.0, 500)})),
+    (-8.0, finite_costs({"a": (1.0, 1.0, 100), "b": (1.0, 5.0, 500)})),
+    (0.0, finite_costs({"a": (6.0, 1.0, 100), "b": (4.0, 5.0, 500)})),
+)
+
+
+@pytest.mark.parametrize("name", list(POLICIES))
+def test_policy_row(name):
+    persists, charges_write = EXPECTED_ROWS[name]
+    dag = {"a": (), "b": ("a",)}
+    policy = EnginePolicy(name)
+    for wanted, (r, costs) in zip(persists, SIGNED_COSTS):
+        budget = StorageBudget(None)
+        decision = policy.decide("b", costs, dag, budget)
+        assert (decision.r_value, decision.materialize) == (r, wanted)
+        assert decision.bytes_charged == budget.used_bytes == (500 if wanted else 0)
+
+        full = StorageBudget(capacity_bytes=600, used_bytes=200)
+        assert not policy.decide("b", costs, dag, full).materialize
+        assert full.used_bytes == 200
+
+        expected_write = costs["b"].load_seconds if charges_write else 0.0
+        assert policy.write_cost_seconds("b", costs) == expected_write
 
 
 class TestBaselinePolicies:
@@ -155,20 +177,16 @@ class TestBaselinePolicies:
     costs = finite_costs({"a": (1.0, 4.0, 100)})
 
     def test_materialize_all_persists_within_budget(self):
-        policy = MaterializeAllPolicy()
+        policy = EnginePolicy("materialize-all")
         assert policy.decide("a", self.costs, self.dag, StorageBudget(None)).materialize
         assert not policy.decide("a", self.costs, self.dag,
                                  StorageBudget(capacity_bytes=50)).materialize
 
     def test_materialize_all_models_a_write_cost(self):
-        policy = MaterializeAllPolicy()
+        policy = EnginePolicy("materialize-all")
         assert policy.write_cost_seconds("a", self.costs) == 4.0
 
-    def test_materialize_none_never_persists(self):
-        policy = MaterializeNonePolicy()
-        assert not policy.decide("a", self.costs, self.dag, StorageBudget(None)).materialize
-        assert policy.write_cost_seconds("a", self.costs) == 0.0
 
-    def test_factory_rejects_unknown_names(self):
-        with pytest.raises(ValueError):
-            make_policy("materialize-sometimes")
+def test_unknown_policy_name_is_rejected():
+    with pytest.raises(ValueError, match="engine, materialize-all, materialize-none, paper-literal"):
+        EnginePolicy("materialize-sometimes")

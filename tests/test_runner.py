@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from iterflow.errors import InvalidConfigError
+from iterflow import runner
+from iterflow.errors import CacheLockedError, InvalidConfigError
 from iterflow.planner import ExecutionPlan, NodeState
 from iterflow.runner import (
     CLOCK_SIMULATED,
@@ -153,6 +154,36 @@ class TestSimulatedRuns:
         count, cumulative = read_run_log_tail(cache)
         assert count == 3
         assert cumulative == previous
+
+    def test_torn_run_log_tail_is_cut_off(self, env, caplog):
+        ws, cache = env
+        path = deploy(chain_spec("a", "b"), ws)
+        run_iteration(path, ws, cache, sim_config())
+        log = cache / "runs.log"
+        first = log.read_bytes()
+        with open(log, "ab") as fh:
+            fh.write(first[:len(first) // 2])  # a crash in the middle of an append
+        report = run_iteration(path, ws, cache, sim_config())
+        assert report.iteration_index == 2
+        lines = log.read_text().splitlines()
+        assert [json.loads(line)["iteration_index"] for line in lines] == [1, 2]
+        assert "torn record" in caplog.text
+
+    def test_run_log_is_appended_under_the_writer_lock(self, env, monkeypatch):
+        ws, cache = env
+        path = deploy(chain_spec("a", "b"), ws)
+        original = runner.append_run_log
+        appended = []
+
+        def locked_append(cache_root, report):
+            with pytest.raises(CacheLockedError):
+                CacheStore(cache_root)
+            appended.append(report.iteration_index)
+            original(cache_root, report)
+
+        monkeypatch.setattr(runner, "append_run_log", locked_append)
+        run_iteration(path, ws, cache, sim_config())
+        assert appended == [1]
 
 
 class TestRealCommands:
