@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -69,10 +68,6 @@ def _prepare_readonly(args) -> PlanContext:
     return prepare(spec_text, Path(args.workspace), manifest, _config(args))
 
 
-def _fmt_seconds(value: float) -> str:
-    return "-" if math.isinf(value) else f"{value:.6f}"
-
-
 def _print_plan(ctx: PlanContext, as_json: bool, out) -> None:
     if as_json:
         doc = ctx.plan.to_json()
@@ -81,21 +76,19 @@ def _print_plan(ctx: PlanContext, as_json: bool, out) -> None:
         doc["costs"] = {
             name: {
                 "compute_seconds": rec.compute_seconds,
-                "load_seconds": None if math.isinf(rec.load_seconds) else rec.load_seconds,
+                "load_seconds": rec.load_seconds if name in ctx.cached else None,
                 "output_bytes": rec.output_bytes,
             }
-            for name, rec in sorted(ctx.plan_costs.items())
+            for name, rec in sorted(ctx.costs.items())
         }
         print(json.dumps(doc, indent=2, sort_keys=True), file=out)
         return
     print("node\tstate\tcompute_s\tload_s", file=out)
     for name in sorted(ctx.plan.states):
-        rec = ctx.plan_costs[name]
-        print(
-            f"{name}\t{ctx.plan.states[name].value}"
-            f"\t{_fmt_seconds(rec.compute_seconds)}\t{_fmt_seconds(rec.load_seconds)}",
-            file=out,
-        )
+        rec = ctx.costs[name]
+        load = f"{rec.load_seconds:.6f}" if name in ctx.cached else "-"
+        print(f"{name}\t{ctx.plan.states[name].value}"
+              f"\t{rec.compute_seconds:.6f}\t{load}", file=out)
     print(f"total_cost_seconds\t{ctx.plan.total_cost_seconds:.6f}", file=out)
 
 
@@ -149,8 +142,9 @@ def cmd_cache(args) -> int:
         print("signature\tnode\tbytes\tcompute_s\tload_s")
         for sig in sorted(manifest.entries):
             entry = manifest.entries[sig]
-            load = "-" if entry.measured_load_seconds is None \
-                else f"{entry.measured_load_seconds:.6f}"
+            history = manifest.cost_history.get(entry.node_name)
+            load = "-" if history is None or history.load_seconds is None \
+                else f"{history.load_seconds:.6f}"
             print(f"{sig[:12]}\t{entry.node_name}\t{entry.output_bytes}"
                   f"\t{entry.measured_compute_seconds:.6f}\t{load}")
         return EXIT_OK
@@ -186,6 +180,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _byte_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative number of bytes, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spec", required=True, help="workflow spec file")
     parser.add_argument("--workspace", default=".", help="directory containing source files")
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one iteration")
     _add_common(p_run)
-    p_run.add_argument("--budget-bytes", type=int, default=None,
+    p_run.add_argument("--budget-bytes", type=_byte_count, default=None,
                        help="storage budget for new materializations (default: unlimited)")
     p_run.add_argument("--clock", default=CLOCK_REAL, choices=[CLOCK_REAL, CLOCK_SIMULATED])
     p_run.add_argument("--dry-run", action="store_true",
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--frequencies", default=None,
                        help="edit-kind frequencies as three comma-separated numbers")
-    p_sim.add_argument("--budget-bytes", type=int, default=None)
+    p_sim.add_argument("--budget-bytes", type=_byte_count, default=None)
     p_sim.add_argument("--out", default=None, help="also write the table to this file")
     p_sim.set_defaults(func=cmd_simulate)
     return parser

@@ -45,12 +45,6 @@ class MissingSourceError(IterflowError):
         self.path = path
 
 
-class InfiniteCostError(IterflowError):
-    def __init__(self, node: str):
-        super().__init__(f"node {node!r} is in load state but has no cached copy")
-        self.node = node
-
-
 class TooLargeError(IterflowError):
     def __init__(self, n: int, limit: int):
         super().__init__(f"exhaustive search over {n} nodes exceeds the {limit}-node limit")

@@ -1,6 +1,6 @@
 """Minimum-cost execution planning over per-node compute/load/prune states.
 
-Given per-node compute and load costs, cache availability, the set of nodes
+Given per-node compute and load costs, the set of cached nodes, the nodes
 that must be recomputed, and the declared output nodes, the planner assigns
 one of three states to every node:
 
@@ -30,9 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .errors import InfiniteCostError, TooLargeError
+from .errors import TooLargeError
 
 
 class NodeState(str, Enum):
@@ -48,15 +48,11 @@ Dag = Mapping[str, Sequence[str]]
 
 @dataclass(frozen=True)
 class CostRecord:
-    """Per-node cost facts; ``load_seconds`` is +inf when nothing is cached."""
+    """Per-node cost facts; ``load_seconds`` is finite, cached or not."""
 
     compute_seconds: float
-    load_seconds: float = math.inf
+    load_seconds: float
     output_bytes: int = 0
-
-    @property
-    def cached(self) -> bool:
-        return math.isfinite(self.load_seconds)
 
 
 @dataclass(frozen=True)
@@ -84,27 +80,21 @@ def _micros(seconds: float) -> int:
 def _cost_micros(states: Mapping[str, NodeState], costs: Mapping[str, CostRecord]) -> int:
     total = 0
     for name, state in states.items():
-        record = costs[name]
         if state is NodeState.COMPUTE:
-            total += _micros(record.compute_seconds)
+            total += _micros(costs[name].compute_seconds)
         elif state is NodeState.LOAD:
-            if not record.cached:
-                raise InfiniteCostError(name)
-            total += _micros(record.load_seconds)
+            total += _micros(costs[name].load_seconds)
     return total
 
 
 def plan_cost(states: Mapping[str, NodeState], costs: Mapping[str, CostRecord]) -> float:
-    """Objective value of an assignment: compute + load times, prune free.
-
-    Raises InfiniteCostError if a loaded node has no cached copy.
-    """
+    """Objective value of an assignment: compute + load times, prune free."""
     return _cost_micros(states, costs) / _MICROS
 
 
 def check_plan_legality(
     dag: Dag,
-    costs: Mapping[str, CostRecord],
+    cached: AbstractSet[str],
     mandatory: Iterable[str],
     sinks: Iterable[str],
     states: Mapping[str, NodeState],
@@ -120,7 +110,7 @@ def check_plan_legality(
                 if states.get(parent) is NodeState.PRUNE:
                     violations.append(f"{name}: computed but parent {parent} is pruned")
     for name, state in states.items():
-        if state is NodeState.LOAD and not costs[name].cached:
+        if state is NodeState.LOAD and name not in cached:
             violations.append(f"{name}: loaded but not cached")
     for name in mandatory:
         if states.get(name) is not NodeState.COMPUTE:
@@ -230,11 +220,12 @@ def _normalize(
 def _finish_plan(
     dag: Dag,
     costs: Mapping[str, CostRecord],
+    cached: AbstractSet[str],
     mandatory: set[str],
     sinks: set[str],
     states: dict[str, NodeState],
 ) -> ExecutionPlan:
-    violations = check_plan_legality(dag, costs, mandatory, sinks, states)
+    violations = check_plan_legality(dag, cached, mandatory, sinks, states)
     if violations:
         raise AssertionError("planner produced an illegal plan: " + "; ".join(violations))
     total = _cost_micros(states, costs)
@@ -246,6 +237,7 @@ def _finish_plan(
 def assign_states_optimal(
     dag: Dag,
     costs: Mapping[str, CostRecord],
+    cached: AbstractSet[str],
     mandatory: Iterable[str] = (),
     sinks: Iterable[str] = (),
 ) -> ExecutionPlan:
@@ -286,7 +278,7 @@ def assign_states_optimal(
         compute_cap.append(_micros(record.compute_seconds) * cost_weight
                            + count_weight + 2 * lex_weight[i])
         load_cap.append(_micros(record.load_seconds) * cost_weight + lex_weight[i]
-                        if record.cached else None)
+                        if name in cached else None)
     uncuttable = sum(compute_cap) + sum(c for c in load_cap if c is not None) + 1
 
     source, sink = 2 * n, 2 * n + 1
@@ -313,7 +305,7 @@ def assign_states_optimal(
             states[name] = NodeState.LOAD
         else:
             states[name] = NodeState.PRUNE
-    return _finish_plan(dag, costs, mandatory_set, sink_set, states)
+    return _finish_plan(dag, costs, cached, mandatory_set, sink_set, states)
 
 
 _BRUTEFORCE_LIMIT = 15
@@ -323,6 +315,7 @@ _CHUNK_ASSIGNMENTS = 1 << 19
 def assign_states_bruteforce(
     dag: Dag,
     costs: Mapping[str, CostRecord],
+    cached: AbstractSet[str],
     mandatory: Iterable[str] = (),
     sinks: Iterable[str] = (),
 ) -> ExecutionPlan:
@@ -331,7 +324,8 @@ def assign_states_bruteforce(
     Assignments are scanned as base-3 numbers whose digits follow node-name
     order with prune=0 < load=1 < compute=2, so "first minimal index" is
     exactly the planner's tie-break.  Vectorized with numpy and chunked to
-    bound memory; refuses more than 15 nodes.
+    bound memory; refuses more than 15 nodes.  numpy, which nothing else
+    needs, is a test-only dependency (the ``test`` extra).
     """
     import numpy as np  # only the oracle needs it; keeps CLI start-up light
 
@@ -342,11 +336,9 @@ def assign_states_bruteforce(
 
     compute_micros = np.array([_micros(costs[m].compute_seconds) for m in names],
                               dtype=np.int64)
-    cached = np.array([costs[m].cached for m in names], dtype=bool)
-    load_micros = np.array(
-        [_micros(costs[m].load_seconds) if costs[m].cached else 0 for m in names],
-        dtype=np.int64,
-    )
+    is_cached = np.array([m in cached for m in names], dtype=bool)
+    load_micros = np.array([_micros(costs[m].load_seconds) for m in names],
+                           dtype=np.int64)
     parent_idx = [[names.index(p) for p in dag[name]] for name in names]
     mandatory_idx = [i for i, m in enumerate(names) if m in mandatory_set]
     sink_idx = [i for i, m in enumerate(names) if m in sink_set]
@@ -359,7 +351,7 @@ def assign_states_bruteforce(
         digits = (idx[:, None] // powers[None, :]) % 3  # 0=prune 1=load 2=compute
         is_load = digits == 1
         is_compute = digits == 2
-        legal = ~(is_load & ~cached[None, :]).any(axis=1)
+        legal = ~(is_load & ~is_cached[None, :]).any(axis=1)
         for i, parents in enumerate(parent_idx):
             if parents:
                 has_pruned_parent = (digits[:, parents] == 0).any(axis=1)
@@ -386,4 +378,4 @@ def assign_states_bruteforce(
     digits = [(best[2] // 3**(n - 1 - i)) % 3 for i in range(n)]
     lookup = {0: NodeState.PRUNE, 1: NodeState.LOAD, 2: NodeState.COMPUTE}
     states = {name: lookup[d] for name, d in zip(names, digits)}
-    return _finish_plan(dag, costs, mandatory_set, sink_set, states)
+    return _finish_plan(dag, costs, cached, mandatory_set, sink_set, states)

@@ -122,24 +122,17 @@ def _load_estimate(history: HistoryRecord | None, nbytes: int) -> float:
     return nbytes / DISK_BANDWIDTH
 
 
-def build_cost_views(
-    spec: WorkflowSpec,
-    signatures: Mapping[str, str],
-    manifest: CacheManifest,
-) -> tuple[dict[str, CostRecord], dict[str, CostRecord]]:
-    """Two views of per-node costs.
+def build_costs(spec: WorkflowSpec, manifest: CacheManifest) -> dict[str, CostRecord]:
+    """Per-node costs, shared by the planner and the materialization policy.
 
-    The planner view sets load time to +inf unless the node's *current*
-    signature is cached.  The estimate view always carries a finite load
-    estimate (measured history first, then size / disk bandwidth) and is
-    what the materialization policy consumes.
-
-    Compute time and output size come from the declaration for simulated
-    actions; for commands, from the recorded history of the node name, with
-    a flat default before anything was ever measured.
+    The load estimate is the node name's moving average of observed loads,
+    else its output size over disk bandwidth; it is finite whether or not
+    the node is cached.  Compute time and output size come from the
+    declaration for simulated actions; for commands, from the recorded
+    history of the node name, with a flat default before anything was ever
+    measured.
     """
-    plan_costs: dict[str, CostRecord] = {}
-    est_costs: dict[str, CostRecord] = {}
+    costs: dict[str, CostRecord] = {}
     for node in spec.nodes:
         history = manifest.cost_history.get(node.name)
         if isinstance(node.action, SimulatedAction):
@@ -151,18 +144,8 @@ def build_cost_views(
         else:
             compute = DEFAULT_COMPUTE_SECONDS
             nbytes = 0
-        est_load = _load_estimate(history, nbytes)
-        est_costs[node.name] = CostRecord(compute, est_load, nbytes)
-
-        entry = manifest.entries.get(signatures[node.name])
-        if entry is None:
-            plan_costs[node.name] = CostRecord(compute, float("inf"), nbytes)
-        else:
-            load = entry.measured_load_seconds
-            plan_costs[node.name] = CostRecord(
-                compute, load if load is not None else est_load, nbytes
-            )
-    return plan_costs, est_costs
+        costs[node.name] = CostRecord(compute, _load_estimate(history, nbytes), nbytes)
+    return costs
 
 
 @dataclass
@@ -173,9 +156,9 @@ class PlanContext:
     dead_operators: set[str]
     signatures: dict[str, str]
     changes: ChangeSet
-    plan_costs: dict[str, CostRecord]
-    est_costs: dict[str, CostRecord]
-    mandatory: set[str]
+    costs: dict[str, CostRecord]
+    cached: set[str]  # nodes whose current signature has a cache entry
+    mandatory: frozenset[str]
     plan: ExecutionPlan
 
 
@@ -199,22 +182,21 @@ def prepare(
         raise InvalidConfigError(f"unknown clock mode {config.clock_mode!r}")
     signatures = compute_signatures(spec, workspace)
     changes = diff_iterations(manifest.previous_signatures, signatures)
-    plan_costs, est_costs = build_cost_views(spec, signatures, manifest)
+    costs = build_costs(spec, manifest)
+    cached = {name for name, sig in signatures.items() if sig in manifest.entries}
     # Changed nodes must be recomputed unless a bit-identical output is
     # already cached under the new signature (an edit that was reverted).
-    mandatory = {
-        name for name in changes.changed if signatures[name] not in manifest.entries
-    }
+    mandatory = changes.changed - cached
     plan = assign_states_optimal(
-        spec.parent_map(), plan_costs, mandatory, set(spec.outputs)
+        spec.parent_map(), costs, cached, mandatory, set(spec.outputs)
     )
     return PlanContext(
         spec=spec,
         dead_operators=dead,
         signatures=signatures,
         changes=changes,
-        plan_costs=plan_costs,
-        est_costs=est_costs,
+        costs=costs,
+        cached=cached,
         mandatory=mandatory,
         plan=plan,
     )
@@ -243,6 +225,8 @@ class _Executor:
         self.workspace = Path(workspace).resolve()
         self.scratch = (store.root / "scratch").resolve()
         self.simulated = config.clock_mode == CLOCK_SIMULATED
+        # Updated with measured costs as operators finish; the plan keeps its own.
+        self.costs = dict(ctx.costs)
         self.available: set[str] = set()
         self.records: dict[str, NodeRunRecord] = {}
         self.dag = ctx.spec.parent_map()
@@ -259,7 +243,7 @@ class _Executor:
         sig = self.ctx.signatures[node.name]
         try:
             if self.simulated:
-                observed = self.ctx.plan_costs[node.name].load_seconds
+                observed = self.costs[node.name].load_seconds
                 self.store.get(sig, observed_seconds=observed)
             else:
                 started = time.monotonic()
@@ -331,9 +315,11 @@ class _Executor:
             cost_bytes = len(payload)
         self.store.record_costs(node.name, rec.wall_seconds, cost_bytes)
         est_load = _load_estimate(self.store.manifest.cost_history[node.name], cost_bytes)
-        self.ctx.est_costs[node.name] = CostRecord(rec.wall_seconds, est_load, cost_bytes)
+        self.costs[node.name] = CostRecord(rec.wall_seconds, est_load, cost_bytes)
+        if node.name in self.ctx.cached:
+            return  # already persisted under this signature; nothing to decide
 
-        decision = self.policy.decide(node.name, self.ctx.est_costs, self.dag, self.budget)
+        decision = self.policy.decide(node.name, self.costs, self.dag, self.budget)
         if decision.materialize:
             sig = self.ctx.signatures[node.name]
             started = time.monotonic()
@@ -341,7 +327,7 @@ class _Executor:
                            charged_bytes=decision.bytes_charged)
             rec.materialized = True
             rec.write_seconds = (
-                self.policy.write_cost_seconds(node.name, self.ctx.est_costs)
+                self.policy.write_cost_seconds(node.name, self.costs)
                 if self.simulated else time.monotonic() - started
             )
 

@@ -46,12 +46,6 @@ MANIFEST_VERSION = 1
 _LOAD_EMA_ALPHA = 0.5
 
 
-def _ema(previous: float | None, observed: float) -> float:
-    if previous is None:
-        return observed
-    return _LOAD_EMA_ALPHA * observed + (1.0 - _LOAD_EMA_ALPHA) * previous
-
-
 @dataclass
 class CacheEntry:
     signature: str
@@ -59,7 +53,6 @@ class CacheEntry:
     payload_path: str  # relative to the cache root
     output_bytes: int  # actual payload file size
     measured_compute_seconds: float
-    measured_load_seconds: float | None = None
     created_at: float = 0.0
     # Size charged against the storage budget; differs from output_bytes for
     # simulated operators, whose on-disk payload is a small stand-in.
@@ -71,7 +64,6 @@ class CacheEntry:
             "payload_path": self.payload_path,
             "output_bytes": self.output_bytes,
             "measured_compute_seconds": self.measured_compute_seconds,
-            "measured_load_seconds": self.measured_load_seconds,
             "created_at": self.created_at,
             "charged_bytes": self.charged_bytes,
         }
@@ -82,7 +74,8 @@ class HistoryRecord:
     """Last known costs for a node name, surviving payload eviction."""
 
     compute_seconds: float
-    load_seconds: float | None = None  # None until a load was observed
+    # Moving average over loads of any signature; None until one was observed.
+    load_seconds: float | None = None
     output_bytes: int = 0
 
     def to_json(self) -> dict:
@@ -138,10 +131,10 @@ def load_manifest(cache_root: Path | str) -> CacheManifest:
             cache_root, doc.get("hash_algorithm"), HASH_ALGORITHM,
         )
         return CacheManifest()
-    entries = {
-        sig: CacheEntry(signature=sig, **raw)
-        for sig, raw in doc.get("entries", {}).items()
-    }
+    entries = {}
+    for sig, raw in doc.get("entries", {}).items():
+        raw.pop("measured_load_seconds", None)  # retired: loads are averaged per name
+        entries[sig] = CacheEntry(signature=sig, **raw)
     history = {
         name: HistoryRecord(**raw) for name, raw in doc.get("cost_history", {}).items()
     }
@@ -322,7 +315,7 @@ class CacheStore:
     def get(self, signature: str, observed_seconds: float | None = None) -> bytes:
         """Read a payload back and record the observed load time.
 
-        The entry's load-time statistic is updated with an exponential
+        The node name's load-time statistic is updated with an exponential
         moving average.  Pass ``observed_seconds`` to substitute a modeled
         duration (simulated clock); by default wall time is measured.
         """
@@ -342,16 +335,12 @@ class CacheStore:
             )
         observed = observed_seconds if observed_seconds is not None \
             else time.monotonic() - started
-        self._record_load_time(entry, observed)
-        return payload
-
-    def _record_load_time(self, entry: CacheEntry, observed: float) -> None:
-        if not self.writable:
-            return
-        entry.measured_load_seconds = _ema(entry.measured_load_seconds, observed)
         history = self.manifest.cost_history.get(entry.node_name)
-        if history is not None:
-            history.load_seconds = _ema(history.load_seconds, observed)
+        if self.writable and history is not None:
+            previous = history.load_seconds
+            history.load_seconds = observed if previous is None else (
+                _LOAD_EMA_ALPHA * observed + (1.0 - _LOAD_EMA_ALPHA) * previous)
+        return payload
 
     def record_costs(self, node_name: str, compute_seconds: float,
                      output_bytes: int) -> None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from pathlib import Path
 
@@ -14,8 +13,6 @@ from iterflow.workflow import (
     WorkflowSpec,
     validate,
 )
-
-INF = math.inf
 
 
 def sim_node(
@@ -69,21 +66,28 @@ def random_dag(rng: random.Random, max_nodes: int = 12,
     }
 
 
-def random_costs(rng: random.Random, dag: dict) -> dict[str, CostRecord]:
-    costs = {}
+def random_costs(rng: random.Random,
+                 dag: dict) -> tuple[dict[str, CostRecord], set[str]]:
+    """Costs plus the cached set; about half the nodes are cached.  An
+    uncached node's load is 0.0, which a legal plan can never pay."""
+    costs: dict[str, CostRecord] = {}
+    cached: set[str] = set()
     for name in dag:
         compute = float(rng.randint(0, 20))
-        load = float(rng.randint(0, 20)) if rng.random() < 0.5 else INF
+        load = 0.0
+        if rng.random() < 0.5:
+            load = float(rng.randint(0, 20))
+            cached.add(name)
         costs[name] = CostRecord(compute, load, rng.randint(0, 10**9))
-    return costs
+    return costs, cached
 
 
 def random_planning_instance(rng: random.Random, max_nodes: int = 12):
     dag = random_dag(rng, max_nodes)
-    costs = random_costs(rng, dag)
+    costs, cached = random_costs(rng, dag)
     mandatory = {name for name in dag if rng.random() < 0.2}
     sinks = {name for name in dag if rng.random() < 0.3}
-    return dag, costs, mandatory, sinks
+    return dag, costs, cached, mandatory, sinks
 
 
 def random_spec(rng: random.Random, max_nodes: int = 10) -> WorkflowSpec:

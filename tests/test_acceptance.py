@@ -72,11 +72,11 @@ def test_criterion_1_planner_matches_exhaustive_oracle():
     started = time.monotonic()
     checked = 0
     for _ in range(500):
-        dag, costs, mandatory, sinks = random_planning_instance(rng, max_nodes=12)
-        fast = assign_states_optimal(dag, costs, mandatory, sinks)
-        oracle = assign_states_bruteforce(dag, costs, mandatory, sinks)
+        dag, costs, cached, mandatory, sinks = random_planning_instance(rng, max_nodes=12)
+        fast = assign_states_optimal(dag, costs, cached, mandatory, sinks)
+        oracle = assign_states_bruteforce(dag, costs, cached, mandatory, sinks)
         assert fast.total_cost_micros == oracle.total_cost_micros, (
-            dag, costs, mandatory, sinks,
+            dag, costs, cached, mandatory, sinks,
         )
         assert fast.states == oracle.states
         checked += 1
@@ -89,9 +89,9 @@ def test_criterion_2_every_emitted_plan_is_legal(tmp_path):
     violations = []
     rng = random.Random(271828)
     for _ in range(500):
-        dag, costs, mandatory, sinks = random_planning_instance(rng, max_nodes=12)
-        plan = assign_states_optimal(dag, costs, mandatory, sinks)
-        violations += check_plan_legality(dag, costs, mandatory, sinks, plan.states)
+        dag, costs, cached, mandatory, sinks = random_planning_instance(rng, max_nodes=12)
+        plan = assign_states_optimal(dag, costs, cached, mandatory, sinks)
+        violations += check_plan_legality(dag, cached, mandatory, sinks, plan.states)
 
     # plans produced across a realistic multi-iteration scenario run
     spec = load_scenario("classification")
@@ -108,7 +108,7 @@ def test_criterion_2_every_emitted_plan_is_legal(tmp_path):
         spec_path.write_text(serialize_workflow(current))
         ctx = prepare(spec_path.read_text(), ws, load_manifest(cache), config)
         violations += check_plan_legality(
-            ctx.spec.parent_map(), ctx.plan_costs, ctx.mandatory,
+            ctx.spec.parent_map(), ctx.cached, ctx.mandatory,
             set(ctx.spec.outputs), ctx.plan.states,
         )
         run_iteration(spec_path, ws, cache, config)
@@ -155,7 +155,7 @@ def test_criterion_4_warm_idempotent_rerun(tmp_path):
     run_iteration(spec_path, ws, cache, config)
     second = run_iteration(spec_path, ws, cache, config)
     ctx = prepare(spec_path.read_text(), ws, load_manifest(cache), config)
-    sink_loads = sum(ctx.plan_costs[s].load_seconds for s in ctx.spec.outputs)
+    sink_loads = sum(ctx.costs[s].load_seconds for s in ctx.spec.outputs)
     ok = second.compute_seconds == 0 and second.plan_cost_seconds <= sink_loads
     report(4, "unchanged rerun recomputes nothing and costs at most the sink loads",
            ok, f"compute={second.compute_seconds}, plan={second.plan_cost_seconds}")

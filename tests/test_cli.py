@@ -97,6 +97,17 @@ class TestRun:
         assert "boom" in err
         assert "skipped" in out
 
+    def test_negative_budget_exits_two(self, env, capsys):
+        ws, cache = env
+        path = deploy(chain_spec("a", "b"), ws)
+        for argv in (["run", *common(path, ws, cache), "--budget-bytes", "-1"],
+                     ["simulate", "--scenario", "ie", "--budget-bytes", "-5"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert "--budget-bytes: must be a nonnegative number of bytes" in err
+        assert not cache.exists()
+
     def test_dry_run_touches_nothing(self, env, capsys):
         ws, cache = env
         path = deploy(chain_spec("a", "b"), ws)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterflow.errors import InfiniteCostError, TooLargeError
+from iterflow.errors import TooLargeError
 from iterflow.planner import (
     CostRecord,
     NodeState,
@@ -14,41 +14,47 @@ from iterflow.planner import (
     plan_cost,
 )
 
-from conftest import INF, random_dag, random_planning_instance
+from conftest import random_dag, random_planning_instance
 
 C, L, P = NodeState.COMPUTE, NodeState.LOAD, NodeState.PRUNE
 
 
 class TestPlanCost:
     def test_all_prune_costs_nothing(self):
-        costs = {"a": CostRecord(5.0, INF), "b": CostRecord(3.0, INF)}
+        costs = {"a": CostRecord(5.0, 1.0), "b": CostRecord(3.0, 1.0)}
         assert plan_cost({"a": P, "b": P}, costs) == 0.0
 
     def test_load_plus_compute(self):
-        costs = {"a": CostRecord(9.0, 2.0), "b": CostRecord(3.0, INF)}
+        costs = {"a": CostRecord(9.0, 2.0), "b": CostRecord(3.0, 1.0)}
         assert plan_cost({"a": L, "b": C}, costs) == 5.0
 
-    def test_loading_uncached_node_is_infinite(self):
-        with pytest.raises(InfiniteCostError):
-            plan_cost({"a": L}, {"a": CostRecord(1.0, INF)})
+
+class TestLegality:
+    def test_loading_an_uncached_node_is_illegal(self):
+        dag = {"a": (), "b": ("a",)}
+        states = {"a": L, "b": C}
+        assert check_plan_legality(dag, {"b"}, (), {"b"}, states) == [
+            "a: loaded but not cached"
+        ]
+        assert check_plan_legality(dag, {"a"}, (), {"b"}, states) == []
 
 
 class TestOptimalExamples:
     def test_load_beats_recompute(self):
         dag = {"a": (), "b": ("a",)}
-        costs = {"a": CostRecord(10.0, 1.0), "b": CostRecord(2.0, INF)}
-        plan = assign_states_optimal(dag, costs, mandatory={"b"}, sinks={"b"})
+        costs = {"a": CostRecord(10.0, 1.0), "b": CostRecord(2.0, 0.0)}
+        plan = assign_states_optimal(dag, costs, {"a"}, mandatory={"b"}, sinks={"b"})
         assert plan.states == {"a": L, "b": C}
         assert plan.total_cost_seconds == 3.0
 
     def test_loading_a_node_prunes_its_ancestors(self):
         dag = {"a": (), "b": ("a",), "c": ("b",)}
         costs = {
-            "a": CostRecord(3.0, INF),
-            "b": CostRecord(3.0, INF),
+            "a": CostRecord(3.0, 0.0),
+            "b": CostRecord(3.0, 0.0),
             "c": CostRecord(3.0, 4.0),
         }
-        plan = assign_states_optimal(dag, costs, sinks={"c"})
+        plan = assign_states_optimal(dag, costs, {"c"}, sinks={"c"})
         assert plan.states == {"a": P, "b": P, "c": L}
         assert plan.total_cost_seconds == 4.0
 
@@ -56,50 +62,52 @@ class TestOptimalExamples:
         # b is cheap to load, c is cheap to recompute; the sink needs both.
         dag = {"a": (), "b": ("a",), "c": ("a",), "d": ("b", "c")}
         costs = {
-            "a": CostRecord(1.0, INF),
+            "a": CostRecord(1.0, 0.0),
             "b": CostRecord(9.0, 1.0),
             "c": CostRecord(1.0, 9.0),
-            "d": CostRecord(1.0, INF),
+            "d": CostRecord(1.0, 0.0),
         }
-        plan = assign_states_optimal(dag, costs, sinks={"d"})
+        plan = assign_states_optimal(dag, costs, {"b", "c"}, sinks={"d"})
         assert plan.states == {"a": C, "b": L, "c": C, "d": C}
         assert plan.total_cost_seconds == 4.0
 
 
 class TestBruteforceExamples:
     def test_single_cached_sink_loads(self):
-        plan = assign_states_bruteforce({"x": ()}, {"x": CostRecord(5.0, 2.0)}, sinks={"x"})
+        plan = assign_states_bruteforce({"x": ()}, {"x": CostRecord(5.0, 2.0)}, {"x"},
+                                        sinks={"x"})
         assert plan.states == {"x": L}
         assert plan.total_cost_seconds == 2.0
 
     def test_single_uncached_sink_computes(self):
-        plan = assign_states_bruteforce({"x": ()}, {"x": CostRecord(5.0, INF)}, sinks={"x"})
+        plan = assign_states_bruteforce({"x": ()}, {"x": CostRecord(5.0, 0.0)}, set(),
+                                        sinks={"x"})
         assert plan.states == {"x": C}
         assert plan.total_cost_seconds == 5.0
 
     def test_too_many_nodes_rejected(self):
         dag = {f"n{i:02d}": () for i in range(16)}
-        costs = {name: CostRecord(1.0, INF) for name in dag}
+        costs = {name: CostRecord(1.0, 0.0) for name in dag}
         with pytest.raises(TooLargeError):
-            assign_states_bruteforce(dag, costs)
+            assign_states_bruteforce(dag, costs, set())
 
 
 class TestOracleEquivalence:
     def test_plans_match_bruteforce_on_random_instances(self):
         rng = random.Random(20240601)
         for _ in range(150):
-            dag, costs, mandatory, sinks = random_planning_instance(rng)
-            fast = assign_states_optimal(dag, costs, mandatory, sinks)
-            oracle = assign_states_bruteforce(dag, costs, mandatory, sinks)
+            dag, costs, cached, mandatory, sinks = random_planning_instance(rng)
+            fast = assign_states_optimal(dag, costs, cached, mandatory, sinks)
+            oracle = assign_states_bruteforce(dag, costs, cached, mandatory, sinks)
             assert fast.total_cost_micros == oracle.total_cost_micros
             assert fast.states == oracle.states  # identical tie-breaking
 
     def test_every_plan_is_legal(self):
         rng = random.Random(77)
         for _ in range(100):
-            dag, costs, mandatory, sinks = random_planning_instance(rng)
-            plan = assign_states_optimal(dag, costs, mandatory, sinks)
-            assert check_plan_legality(dag, costs, mandatory, sinks, plan.states) == []
+            dag, costs, cached, mandatory, sinks = random_planning_instance(rng)
+            plan = assign_states_optimal(dag, costs, cached, mandatory, sinks)
+            assert check_plan_legality(dag, cached, mandatory, sinks, plan.states) == []
 
 
 class TestProperties:
@@ -107,10 +115,10 @@ class TestProperties:
         rng = random.Random(5)
         for _ in range(30):
             dag = random_dag(rng)
-            costs = {n: CostRecord(float(rng.randint(1, 9)), INF) for n in dag}
+            costs = {n: CostRecord(float(rng.randint(1, 9)), 0.0) for n in dag}
             names = list(dag)
             sinks = {names[-1]}
-            plan = assign_states_optimal(dag, costs, mandatory=set(), sinks=sinks)
+            plan = assign_states_optimal(dag, costs, set(), mandatory=set(), sinks=sinks)
             needed = set()
             frontier = list(sinks)
             while frontier:
@@ -130,34 +138,34 @@ class TestProperties:
                 for n in dag
             }
             sinks = {n for n in dag if rng.random() < 0.4}
-            plan = assign_states_optimal(dag, costs, mandatory=set(), sinks=sinks)
+            plan = assign_states_optimal(dag, costs, set(dag), mandatory=set(), sinks=sinks)
             assert plan.total_cost_seconds <= sum(costs[s].load_seconds for s in sinks) + 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_adding_a_cached_copy_never_hurts(self, data):
         rng = random.Random(data.draw(st.integers(0, 2**31)))
-        dag, costs, mandatory, sinks = random_planning_instance(rng, max_nodes=9)
-        uncached = [n for n in dag if not costs[n].cached]
+        dag, costs, cached, mandatory, sinks = random_planning_instance(rng, max_nodes=9)
+        uncached = [n for n in dag if n not in cached]
         if not uncached:
             return
         victim = data.draw(st.sampled_from(sorted(uncached)))
-        baseline = assign_states_optimal(dag, costs, mandatory, sinks)
+        baseline = assign_states_optimal(dag, costs, cached, mandatory, sinks)
         better = dict(costs)
         better[victim] = CostRecord(
             costs[victim].compute_seconds,
             float(data.draw(st.integers(0, 20))),
             costs[victim].output_bytes,
         )
-        improved = assign_states_optimal(dag, better, mandatory, sinks)
+        improved = assign_states_optimal(dag, better, cached | {victim}, mandatory, sinks)
         assert improved.total_cost_micros <= baseline.total_cost_micros
 
     def test_input_order_does_not_change_the_plan(self):
         rng = random.Random(8)
-        dag, costs, mandatory, sinks = random_planning_instance(rng)
+        dag, costs, cached, mandatory, sinks = random_planning_instance(rng)
         scrambled_dag = dict(sorted(dag.items(), reverse=True))
         scrambled_costs = dict(sorted(costs.items(), reverse=True))
-        a = assign_states_optimal(dag, costs, mandatory, sinks)
-        b = assign_states_optimal(scrambled_dag, scrambled_costs, mandatory, sinks)
+        a = assign_states_optimal(dag, costs, cached, mandatory, sinks)
+        b = assign_states_optimal(scrambled_dag, scrambled_costs, cached, mandatory, sinks)
         assert a.states == b.states
         assert a.total_cost_micros == b.total_cost_micros

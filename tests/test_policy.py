@@ -125,7 +125,7 @@ def test_expensive_chains_always_materialize_with_unlimited_budget():
     rng = random.Random(15)
     for _ in range(25):
         dag = random_dag(rng, max_nodes=8)
-        costs = random_costs(rng, dag)
+        costs, _ = random_costs(rng, dag)
         finite = {
             n: CostRecord(r.compute_seconds, float(rng.randint(0, 5)), 10)
             for n, r in costs.items()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -101,8 +102,6 @@ class TestSimulatedRuns:
 
     def test_edit_recomputes_descendants_and_loads_frontier(self, env):
         ws, cache = env
-        import dataclasses
-
         spec = chain_spec("a", "b", "c")
         path = deploy(spec, ws)
         run_iteration(path, ws, cache, sim_config())
@@ -140,6 +139,65 @@ class TestSimulatedRuns:
         )
         assert charged <= 1000
         assert sum(rec.materialized for rec in report.nodes.values()) == 1
+
+    @pytest.mark.parametrize("policy", ["engine", "materialize-all"])
+    def test_recomputing_a_cached_node_is_not_charged_again(self, env, policy):
+        ws, cache = env
+        # b loads in 1 s but recomputes in 0 s from a, which is loaded anyway.
+        spec = sim_spec(
+            [sim_node("a", compute_seconds=10.0, output_bytes=10**6),
+             sim_node("b", ("a",), compute_seconds=0.0, output_bytes=100 * 10**6)],
+            outputs=("a", "b"),
+        )
+        path = deploy(spec, ws)
+        config = sim_config(policy_name=policy)
+        run_iteration(path, ws, cache, config)
+        with CacheStore(cache) as store:
+            ctx = prepare(path.read_text(), ws, store.manifest, config)
+            assert ctx.plan.states == {"a": NodeState.LOAD, "b": NodeState.COMPUTE}
+            used = sum(e.charged_bytes for e in store.manifest.entries.values())
+            budget = StorageBudget(None, used_bytes=used)
+            report = execute(ctx, store, EnginePolicy(policy), budget, config, ws)
+        assert used == 101 * 10**6
+        assert budget.used_bytes == used
+        assert not report.nodes["b"].materialized
+        assert report.materialize_seconds == 0.0
+
+    def test_planner_reads_the_per_name_load_average(self, env):
+        ws, cache = env
+        spec = chain_spec("a")
+        path = deploy(spec, ws)
+        signatures = []
+        for version in ("v1", "v2"):
+            edited = spec.replace_node(
+                dataclasses.replace(spec.node("a"), env_fingerprint=version)
+            )
+            path.write_text(serialize_workflow(edited))
+            run_iteration(path, ws, cache, sim_config())
+            signatures.append(load_manifest(cache).previous_signatures["a"])
+        with CacheStore(cache) as store:
+            store.get(signatures[0], observed_seconds=2.5)
+            store.get(signatures[1], observed_seconds=0.5)
+        ctx = prepare(path.read_text(), ws, load_manifest(cache), sim_config())
+        # The current signature alone loaded in 0.5 s, cheaper than the 1 s
+        # compute; the name's average is 1.5 s, so the planner computes.
+        assert ctx.cached == {"a"}
+        assert ctx.costs["a"].load_seconds == 1.5
+        assert ctx.plan.states == {"a": NodeState.COMPUTE}
+
+    def test_manifest_with_per_entry_load_times_still_opens(self, env):
+        ws, cache = env
+        path = deploy(chain_spec("a", "b", "c"), ws)
+        run_iteration(path, ws, cache, sim_config())
+        manifest_path = cache / "manifest.json"
+        doc = json.loads(manifest_path.read_text())
+        for entry in doc["entries"].values():
+            entry["measured_load_seconds"] = 0.5  # the older per-signature average
+        manifest_path.write_text(json.dumps(doc))
+        report = run_iteration(path, ws, cache, sim_config())
+        assert report.succeeded
+        assert report.compute_seconds == 0
+        assert "measured_load_seconds" not in manifest_path.read_text()
 
     def test_run_log_grows_and_cumulative_is_monotone(self, env):
         ws, cache = env
