@@ -20,6 +20,7 @@ from .policy import (
     POLICIES,
     EnginePolicy,
     MaterializationDecision,
+    RecomputeChains,
     StorageBudget,
     r_value,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "NodeState",
     "OperatorNode",
     "POLICIES",
+    "RecomputeChains",
     "RunConfig",
     "RunReport",
     "SimulatedAction",

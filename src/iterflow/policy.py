@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import UnknownCostError
-from .planner import CostRecord, Dag
+from .planner import _MICROS, CostRecord, Dag, _micros
 
 
 # name -> (persist when the r-value satisfies this, charge a modeled write
@@ -62,38 +62,65 @@ class MaterializationDecision:
     bytes_charged: int
 
 
-def _ancestors(dag: Dag, name: str) -> set[str]:
-    found: set[str] = set()
-    frontier = list(dag[name])
-    while frontier:
-        cur = frontier.pop()
-        if cur not in found:
-            found.add(cur)
-            frontier.extend(dag[cur])
-    return found
+def _compute_micros(costs: Mapping[str, CostRecord], name: str) -> int:
+    seconds = costs[name].compute_seconds if name in costs else None
+    if seconds is None or not math.isfinite(seconds):
+        raise UnknownCostError(name)
+    return _micros(seconds)
 
 
-def recompute_chain_seconds(node: str, costs: Mapping[str, CostRecord], dag: Dag) -> float:
-    """Compute time of ``node`` plus all of its ancestors."""
-    total = 0.0
-    for name in (node, *_ancestors(dag, node)):
-        if name not in costs:
-            raise UnknownCostError(name)
-        total += costs[name].compute_seconds
-    return total
+class RecomputeChains:
+    """Recompute chain of each node of one iteration: its own compute time
+    plus that of every ancestor, each ancestor counted once.
+
+    ``add`` is called once per node, in topological order, after the node's
+    parents, with costs final for that node.  Each node keeps its ancestor
+    set as an int bitset over the order of ``add`` calls.  Its chain is that
+    of the parent with the largest set, plus the compute of every node of
+    its own set the parent's lacks, itself included; the sums are integer
+    microseconds, so the result equals the plain set sum exactly.
+    """
+
+    def __init__(self, dag: Dag):
+        self._dag = dag
+        self._names: list[str] = []
+        self._bits: dict[str, int] = {}
+        self.micros: dict[str, int] = {}
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.micros
+
+    def add(self, name: str, costs: Mapping[str, CostRecord]) -> None:
+        parents = self._dag[name]
+        bits = 1 << len(self._names)
+        self._names.append(name)
+        chain = base = 0
+        if parents:
+            widest = max(parents, key=lambda parent: self._bits[parent].bit_count())
+            chain, base = self.micros[widest], self._bits[widest]
+            for parent in parents:
+                bits |= self._bits[parent]
+        missing = bits & ~base
+        while missing:
+            low = missing & -missing
+            chain += _compute_micros(costs, self._names[low.bit_length() - 1])
+            missing ^= low
+        self._bits[name] = bits
+        self.micros[name] = chain
 
 
-def r_value(node: str, costs: Mapping[str, CostRecord], dag: Dag) -> float:
+def r_value(node: str, costs: Mapping[str, CostRecord], chains: RecomputeChains) -> float:
     """Recompute chain minus twice the (estimated) load time of ``node``.
 
     Positive means a future iteration that reuses the node saves more time
     than one write plus one read costs.  ``costs[node].load_seconds`` must
-    be the finite load estimate for the freshly produced output.
+    be the finite load estimate for the freshly produced output, and
+    ``node`` must have been added to ``chains``.
     """
     load = costs[node].load_seconds if node in costs else None
     if load is None or not math.isfinite(load):
         raise UnknownCostError(node)
-    return recompute_chain_seconds(node, costs, dag) - 2.0 * load
+    return (chains.micros[node] - 2 * _micros(load)) / _MICROS
 
 
 class EnginePolicy:
@@ -108,8 +135,8 @@ class EnginePolicy:
             raise ValueError(f"unknown policy {name!r} (choose from {', '.join(POLICIES)})")
         self.persists, self.charges_write = POLICIES[name]
 
-    def decide(self, node, costs, dag, budget) -> MaterializationDecision:
-        r = r_value(node, costs, dag)
+    def decide(self, node, costs, chains, budget) -> MaterializationDecision:
+        r = r_value(node, costs, chains)
         nbytes = costs[node].output_bytes
         materialize = self.persists(r) and budget.fits(nbytes)
         if materialize:

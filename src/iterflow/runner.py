@@ -32,7 +32,7 @@ from .planner import (
     NodeState,
     assign_states_optimal,
 )
-from .policy import EnginePolicy, StorageBudget
+from .policy import EnginePolicy, RecomputeChains, StorageBudget
 from .store import CacheManifest, CacheStore, HistoryRecord
 from .workflow import (
     CommandAction,
@@ -229,7 +229,8 @@ class _Executor:
         self.costs = dict(ctx.costs)
         self.available: set[str] = set()
         self.records: dict[str, NodeRunRecord] = {}
-        self.dag = ctx.spec.parent_map()
+        # Each node joins once its cost is final, in topological order.
+        self.chains = RecomputeChains(ctx.spec.parent_map())
 
     def output_path(self, node: OperatorNode) -> Path:
         if isinstance(node.action, CommandAction):
@@ -316,10 +317,11 @@ class _Executor:
         self.store.record_costs(node.name, rec.wall_seconds, cost_bytes)
         est_load = _load_estimate(self.store.manifest.cost_history[node.name], cost_bytes)
         self.costs[node.name] = CostRecord(rec.wall_seconds, est_load, cost_bytes)
+        self.chains.add(node.name, self.costs)
         if node.name in self.ctx.cached:
             return  # already persisted under this signature; nothing to decide
 
-        decision = self.policy.decide(node.name, self.costs, self.dag, self.budget)
+        decision = self.policy.decide(node.name, self.costs, self.chains, self.budget)
         if decision.materialize:
             sig = self.ctx.signatures[node.name]
             started = time.monotonic()
@@ -341,6 +343,8 @@ class _Executor:
                 self.run_load(node, rec)
             elif state is NodeState.COMPUTE:
                 self.run_compute(node, rec)
+            if name not in self.chains:  # loaded, pruned, failed or skipped
+                self.chains.add(name, self.costs)
         return self.records, all(r.ok for r in self.records.values())
 
 

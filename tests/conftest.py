@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import graphlib
 import hashlib
 import random
 from pathlib import Path
 
-from iterflow.planner import CostRecord
+from iterflow.planner import CostRecord, _micros
+from iterflow.policy import RecomputeChains
 from iterflow.workflow import (
     OperatorNode,
     SimulatedAction,
@@ -64,6 +66,32 @@ def random_dag(rng: random.Random, max_nodes: int = 12,
         name: tuple(names[j] for j in range(i) if rng.random() < edge_prob)
         for i, name in enumerate(names)
     }
+
+
+def ancestors(dag: dict, name: str) -> set[str]:
+    found: set[str] = set()
+    frontier = list(dag[name])
+    while frontier:
+        cur = frontier.pop()
+        if cur not in found:
+            found.add(cur)
+            frontier.extend(dag[cur])
+    return found
+
+
+def recompute_chain_micros(node: str, costs, dag: dict) -> int:
+    """Oracle for ``RecomputeChains``: compute time of ``node`` plus all of
+    its ancestors, walked afresh, in integer microseconds."""
+    return sum(_micros(costs[name].compute_seconds)
+               for name in (node, *ancestors(dag, node)))
+
+
+def chains_for(dag: dict, costs) -> RecomputeChains:
+    """Every node of ``dag`` added to fresh chains, parents first."""
+    chains = RecomputeChains(dag)
+    for name in graphlib.TopologicalSorter(dag).static_order():
+        chains.add(name, costs)
+    return chains
 
 
 def random_costs(rng: random.Random,

@@ -6,7 +6,7 @@ import pytest
 
 from iterflow import runner
 from iterflow.errors import CacheLockedError, InvalidConfigError
-from iterflow.planner import ExecutionPlan, NodeState
+from iterflow.planner import ExecutionPlan, NodeState, _micros
 from iterflow.runner import (
     CLOCK_SIMULATED,
     PlanContext,
@@ -287,6 +287,45 @@ class TestRealCommands:
         assert not report.nodes["zeros"].materialized
         assert load_manifest(cache).entries == {}
 
+    def test_chain_reads_measured_costs(self, env, monkeypatch):
+        # A first run has no history, so the plan assumes the default compute
+        # time; the decision on b must see what a and b actually took.
+        ws, cache = env
+        (ws / "data").mkdir()
+        (ws / "data" / "in.txt").write_text("x")
+        path = ws / "workflow.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "nodes": [
+                {"name": "a", "kind": "ml",
+                 "action": {"type": "command", "argv": ["sh", "-c", "sleep 0.05; echo a > {output}"],
+                            "output": "out/a.txt"},
+                 "parents": [], "sources": ["data/in.txt"]},
+                {"name": "b", "kind": "ml",
+                 "action": {"type": "command",
+                            "argv": ["sh", "-c", "sleep 0.05; cat {parent:a} > {output}"],
+                            "output": "out/b.txt"},
+                 "parents": ["a"], "sources": []},
+            ],
+            "outputs": ["b"],
+        }))
+        seen = {}
+        original_decide = EnginePolicy.decide
+
+        def spy_decide(self, node, costs, chains, budget):
+            decision = original_decide(self, node, costs, chains, budget)
+            seen[node] = (decision.r_value, costs[node].load_seconds)
+            return decision
+
+        monkeypatch.setattr(EnginePolicy, "decide", spy_decide)
+        report = run_iteration(path, ws, cache, RunConfig())
+        assert report.succeeded, report.failed_nodes
+        wall_a = report.nodes["a"].wall_seconds
+        wall_b = report.nodes["b"].wall_seconds
+        assert wall_a < runner.DEFAULT_COMPUTE_SECONDS
+        r, load_b = seen["b"]
+        assert r == (_micros(wall_a) + _micros(wall_b) - 2 * _micros(load_b)) / 1e6
+
     def test_failure_skips_dependents_but_not_independent_chains(self, env):
         ws, cache = env
         text = json.dumps({
@@ -391,9 +430,9 @@ def test_policy_decision_precedes_downstream_execution(tmp_path, monkeypatch):
         events.append(("run", node.name))
         return original_action(self, node, rec)
 
-    def spy_decide(self, node, costs, dag, budget):
+    def spy_decide(self, node, costs, chains, budget):
         events.append(("decide", node))
-        return original_decide(self, node, costs, dag, budget)
+        return original_decide(self, node, costs, chains, budget)
 
     monkeypatch.setattr(_Executor, "_run_action", spy_action)
     monkeypatch.setattr(EnginePolicy, "decide", spy_decide)
