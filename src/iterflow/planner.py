@@ -20,9 +20,11 @@ assignment and exists purely as an independent oracle; the two must agree
 on every instance small enough to enumerate.
 
 Costs are handled as integer microseconds throughout so that oracle
-comparisons are exact.  Ties are broken deterministically: fewest computed
-nodes first, then the lexicographically smallest state vector in node-name
-order with prune < load < compute.
+comparisons are exact.  Ties are broken deterministically: of all optimal
+plans, the planner returns the one that is least state by state under
+prune < load < compute.  Such a plan always exists, and it is also the one
+with the fewest computed nodes and the lexicographically smallest state
+vector in node-name order, which is the rule the oracle applies.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ class _FlowNetwork:
         self.adj[u].append([v, capacity, len(self.adj[v])])
         self.adj[v].append([u, 0, len(self.adj[u]) - 1])
 
-    def _levels(self, source: int, sink: int) -> list[int] | None:
+    def _levels(self, source: int) -> list[int]:
         level = [-1] * len(self.adj)
         level[source] = 0
         queue = [source]
@@ -142,7 +144,7 @@ class _FlowNetwork:
                 if cap > 0 and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
-        return level if level[sink] >= 0 else None
+        return level
 
     def _augment(self, source: int, sink: int, level: list[int],
                  it: list[int]) -> int:
@@ -173,29 +175,17 @@ class _FlowNetwork:
                 u, _ = path.pop()
                 it[u] += 1
 
-    def max_flow(self, source: int, sink: int) -> int:
-        flow = 0
+    def min_cut_source_side(self, source: int, sink: int) -> list[bool]:
+        """Push a maximum flow, then return the vertices the source still
+        reaches in the residual graph: the source side of the minimal
+        minimum cut, which every minimum cut's source side contains."""
         while True:
-            level = self._levels(source, sink)
-            if level is None:
-                return flow
+            level = self._levels(source)
+            if level[sink] < 0:
+                return [d >= 0 for d in level]
             it = [0] * len(self.adj)
-            while True:
-                pushed = self._augment(source, sink, level, it)
-                if pushed == 0:
-                    break
-                flow += pushed
-
-    def reachable_in_residual(self, source: int) -> list[bool]:
-        seen = [False] * len(self.adj)
-        seen[source] = True
-        queue = [source]
-        for u in queue:
-            for v, cap, _ in self.adj[u]:
-                if cap > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
+            while self._augment(source, sink, level, it):
+                pass
 
 
 def _normalize(
@@ -258,27 +248,23 @@ def assign_states_optimal(
       S -> v_i uncuttable for mandatory nodes (forced compute).
 
     A finite cut therefore corresponds one-to-one with a legal plan of equal
-    cost, and the minimum cut is the optimum.  To make the answer unique,
-    capacities carry two low-order tie-break terms (compute count, then a
-    per-node base-3 digit), so that exactly one legal plan minimizes the
-    perturbed objective; Python integers keep the arithmetic exact.
+    cost, and the minimum cut is the optimum.  Ties go to the optimal plan
+    that is least state by state under prune < load < compute.  After a
+    maximum flow, the vertices the source still reaches in the residual
+    graph are the source side of the minimal minimum cut, the intersection
+    of all minimum cuts (Picard and Queyranne, 1980).  Each optimal plan
+    maps to a minimum cut (v_i on the S side when i is computed, a_i when i
+    is needed), so the plan read from the minimal cut is no greater, node by
+    node, than any optimal plan: it has the fewest computed nodes and is the
+    lexicographically smallest, the oracle's tie-break.
     """
     names, mandatory_set, sink_set = _normalize(dag, costs, mandatory, sinks)
     n = len(names)
     index = {name: i for i, name in enumerate(names)}
 
-    lex_weight = [3 ** (n - 1 - i) for i in range(n)]
-    count_weight = 3**n  # larger than any lex term sum
-    cost_weight = count_weight * (n + 1)  # larger than any tie-break sum
-
-    compute_cap = []
-    load_cap: list[int | None] = []
-    for i, name in enumerate(names):
-        record = costs[name]
-        compute_cap.append(_micros(record.compute_seconds) * cost_weight
-                           + count_weight + 2 * lex_weight[i])
-        load_cap.append(_micros(record.load_seconds) * cost_weight + lex_weight[i]
-                        if name in cached else None)
+    compute_cap = [_micros(costs[name].compute_seconds) for name in names]
+    load_cap = [_micros(costs[name].load_seconds) if name in cached else None
+                for name in names]
     uncuttable = sum(compute_cap) + sum(c for c in load_cap if c is not None) + 1
 
     source, sink = 2 * n, 2 * n + 1
@@ -294,8 +280,7 @@ def assign_states_optimal(
         if name in mandatory_set:
             net.add_edge(source, v_i, uncuttable)
 
-    net.max_flow(source, sink)
-    on_compute_side = net.reachable_in_residual(source)
+    on_compute_side = net.min_cut_source_side(source, sink)
 
     states: dict[str, NodeState] = {}
     for i, name in enumerate(names):

@@ -187,9 +187,13 @@ class CacheStore:
         if writable:
             self.root.mkdir(parents=True, exist_ok=True)
             self._acquire_lock()
-        self.manifest = load_manifest(self.root)
-        if writable:
-            self.recover()
+        try:
+            self.manifest = load_manifest(self.root)
+            if writable:
+                self.recover()
+        except BaseException:
+            self._release_lock()
+            raise
 
     # -- lifecycle -----------------------------------------------------
 
@@ -211,12 +215,16 @@ class CacheStore:
         os.write(fd, f"{os.getpid()}\n".encode("ascii"))
         self._lock_fd = fd
 
-    def close(self) -> None:
-        if self.writable and self._lock_fd is not None:
-            self.save()
+    def _release_lock(self) -> None:
+        if self._lock_fd is not None:
             fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
             os.close(self._lock_fd)
             self._lock_fd = None
+
+    def close(self) -> None:
+        if self.writable and self._lock_fd is not None:
+            self.save()
+            self._release_lock()
 
     def __enter__(self) -> "CacheStore":
         return self
@@ -252,6 +260,10 @@ class CacheStore:
                 if path not in referenced:
                     logger.info("sweeping orphan payload %s", path.name)
                     path.unlink()
+        # Under the writer lock no live writer owns a manifest temp file.
+        for path in sorted(self.root.glob("manifest.tmp.*")):
+            logger.info("sweeping stale manifest temp file %s", path.name)
+            path.unlink()
         if removed:
             self.save()
         return removed

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,12 +12,47 @@ from iterflow.planner import (
     assign_states_bruteforce,
     assign_states_optimal,
     check_plan_legality,
+    _FlowNetwork,
     plan_cost,
 )
 
 from conftest import random_dag, random_planning_instance
 
 C, L, P = NodeState.COMPUTE, NodeState.LOAD, NodeState.PRUNE
+RANK = {P: 0, L: 1, C: 2}
+
+
+def tie_dense_instance(rng: random.Random, max_nodes: int):
+    """A random instance whose costs come from a tiny set, so that many
+    plans tie; node names are shuffled, so name order is not topological."""
+    n = rng.randint(1, max_nodes)
+    names = [f"n{k:02d}" for k in rng.sample(range(n), n)]  # topological order
+    dag = {name: tuple(p for p in names[:i] if rng.random() < 0.4)
+           for i, name in enumerate(names)}
+    values = rng.choice([(0, 1), (0, 0, 0, 1, 2), (0,), (1,), (1, 2)])
+    cached = {name for name in names if rng.random() < 0.5}
+    costs = {name: CostRecord(float(rng.choice(values)),
+                              float(rng.choice(values)) if name in cached else 0.0)
+             for name in names}
+    mandatory = {name for name in names if rng.random() < 0.15}
+    sinks = {name for name in names if rng.random() < 0.3}
+    return dag, costs, cached, mandatory, sinks
+
+
+def optimal_plans(dag, costs, cached, mandatory, sinks) -> list[dict]:
+    """Every legal plan of minimum cost, by full enumeration."""
+    names = sorted(dag)
+    best, plans = None, []
+    for combo in itertools.product((P, L, C), repeat=len(names)):
+        states = dict(zip(names, combo))
+        if check_plan_legality(dag, cached, mandatory, sinks, states):
+            continue
+        cost = plan_cost(states, costs)
+        if best is None or cost < best:
+            best, plans = cost, []
+        if cost == best:
+            plans.append(states)
+    return plans
 
 
 class TestPlanCost:
@@ -102,6 +138,15 @@ class TestOracleEquivalence:
             assert fast.total_cost_micros == oracle.total_cost_micros
             assert fast.states == oracle.states  # identical tie-breaking
 
+    def test_plans_match_bruteforce_on_tie_dense_instances(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            instance = tie_dense_instance(rng, max_nodes=9)
+            fast = assign_states_optimal(*instance)
+            oracle = assign_states_bruteforce(*instance)
+            assert fast.total_cost_micros == oracle.total_cost_micros
+            assert fast.states == oracle.states
+
     def test_every_plan_is_legal(self):
         rng = random.Random(77)
         for _ in range(100):
@@ -169,3 +214,56 @@ class TestProperties:
         b = assign_states_optimal(scrambled_dag, scrambled_costs, cached, mandatory, sinks)
         assert a.states == b.states
         assert a.total_cost_micros == b.total_cost_micros
+
+
+class TestTieBreak:
+    def test_plan_is_state_by_state_least_optimal_plan(self):
+        rng = random.Random(11)
+        for _ in range(120):
+            instance = tie_dense_instance(rng, max_nodes=7)
+            plan = assign_states_optimal(*instance)
+            for other in optimal_plans(*instance):
+                assert all(RANK[plan.states[n]] <= RANK[other[n]] for n in other)
+
+    def test_renaming_nodes_renames_the_plan(self):
+        rng = random.Random(12)
+        for _ in range(120):
+            dag, costs, cached, mandatory, sinks = tie_dense_instance(rng, max_nodes=7)
+            targets = list(dag)
+            rng.shuffle(targets)
+            rename = dict(zip(dag, targets))
+            renamed = assign_states_optimal(
+                {rename[n]: tuple(rename[p] for p in ps) for n, ps in dag.items()},
+                {rename[n]: cost for n, cost in costs.items()},
+                {rename[n] for n in cached},
+                {rename[n] for n in mandatory},
+                {rename[n] for n in sinks},
+            )
+            plan = assign_states_optimal(dag, costs, cached, mandatory, sinks)
+            assert renamed.states == {rename[n]: s for n, s in plan.states.items()}
+            assert renamed.total_cost_micros == plan.total_cost_micros
+
+    def test_capacities_stay_machine_sized(self, monkeypatch):
+        # 2000 nodes in 20 layers of 100, each with up to 3 parents in the
+        # layer above; a tie-break weight per node would need n-digit ints.
+        rng = random.Random(3)
+        layers = [[f"l{d:02d}_{k:03d}" for k in range(100)] for d in range(20)]
+        dag = {name: tuple(rng.sample(layers[d - 1], rng.randint(1, 3))) if d else ()
+               for d, layer in enumerate(layers) for name in layer}
+        cached = {name for name in dag if rng.random() < 0.5}
+        costs = {name: CostRecord(rng.randint(0, 10**4) / 100,
+                                  rng.randint(0, 10**4) / 100 if name in cached else 0.0)
+                 for name in dag}
+        mandatory, sinks = set(layers[0][:10]), set(layers[-1][:5])
+        capacities = []
+        add_edge = _FlowNetwork.add_edge
+
+        def recording_add_edge(self, u, v, capacity):
+            capacities.append(capacity)
+            add_edge(self, u, v, capacity)
+
+        monkeypatch.setattr(_FlowNetwork, "add_edge", recording_add_edge)
+        plan = assign_states_optimal(dag, costs, cached, mandatory, sinks)
+        assert check_plan_legality(dag, cached, mandatory, sinks, plan.states) == []
+        assert len(capacities) > len(dag)
+        assert max(capacities) < 2**63

@@ -111,6 +111,13 @@ class TestLocking:
         with CacheStore(root) as store:
             assert store.get(SIG_A) == b"x"
 
+    def test_failed_open_releases_the_lock(self, root):
+        root.mkdir(parents=True)
+        (root / "manifest.json").write_text(json.dumps({"format_version": 99}))
+        for _ in range(2):
+            with pytest.raises(VersionMismatchError):
+                CacheStore(root)
+
     def test_readers_need_no_lock(self, root):
         with CacheStore(root) as store:
             store.put("node", SIG_A, b"x", 1.0)
@@ -128,6 +135,20 @@ class TestRecovery:
         with CacheStore(root):
             pass
         assert not orphan.exists()
+        verify_consistent(root)
+
+    def test_stale_manifest_temp_swept_on_writable_open(self, root):
+        # A writer that died between writing and renaming its manifest temp
+        # file; its pid differs from ours, so no later save reuses the name.
+        with CacheStore(root) as store:
+            store.put("node", SIG_A, b"keep", 1.0)
+        stale = root / "manifest.tmp.999999"
+        stale.write_text("{}")
+        CacheStore(root, writable=False)
+        assert stale.exists()
+        with CacheStore(root):
+            pass
+        assert not stale.exists()
         verify_consistent(root)
 
     def test_truncated_payload_drops_entry(self, root):
