@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import MissingSourceError
-from .workflow import WorkflowSpec, topological_order
+from .workflow import WorkflowSpec
 
 HASH_ALGORITHM = "sha256"
 
@@ -45,7 +45,7 @@ def compute_signatures(spec: WorkflowSpec, workspace: Path | str) -> dict[str, s
     """
     workspace = Path(workspace)
     signatures: dict[str, str] = {}
-    for name in topological_order(spec):
+    for name in spec.order:
         node = spec.node(name)
         hasher = hashlib.sha256()
         hasher.update(b"def\x00")

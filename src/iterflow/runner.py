@@ -41,7 +41,6 @@ from .workflow import (
     WorkflowSpec,
     parse_workflow,
     prune_dead_operators,
-    topological_order,
 )
 
 logger = logging.getLogger(__name__)
@@ -115,15 +114,8 @@ class RunReport:
         }
 
 
-def _load_estimate(history: HistoryRecord | None, nbytes: int) -> float:
-    """Measured load time of the node name, else its size over disk bandwidth."""
-    if history is not None and history.load_seconds is not None:
-        return history.load_seconds
-    return nbytes / DISK_BANDWIDTH
-
-
-def build_costs(spec: WorkflowSpec, manifest: CacheManifest) -> dict[str, CostRecord]:
-    """Per-node costs, shared by the planner and the materialization policy.
+def _node_cost(node: OperatorNode, history: HistoryRecord | None) -> CostRecord:
+    """The costs of one node, given its name's recorded history.
 
     The load estimate is the node name's moving average of observed loads,
     else its output size over disk bandwidth; it is finite whether or not
@@ -132,20 +124,26 @@ def build_costs(spec: WorkflowSpec, manifest: CacheManifest) -> dict[str, CostRe
     history of the node name, with a flat default before anything was ever
     measured.
     """
-    costs: dict[str, CostRecord] = {}
-    for node in spec.nodes:
-        history = manifest.cost_history.get(node.name)
-        if isinstance(node.action, SimulatedAction):
-            compute = node.action.compute_seconds
-            nbytes = node.action.output_bytes
-        elif history is not None:
-            compute = history.compute_seconds
-            nbytes = history.output_bytes
-        else:
-            compute = DEFAULT_COMPUTE_SECONDS
-            nbytes = 0
-        costs[node.name] = CostRecord(compute, _load_estimate(history, nbytes), nbytes)
-    return costs
+    if isinstance(node.action, SimulatedAction):
+        compute = node.action.compute_seconds
+        nbytes = node.action.output_bytes
+    elif history is not None:
+        compute = history.compute_seconds
+        nbytes = history.output_bytes
+    else:
+        compute = DEFAULT_COMPUTE_SECONDS
+        nbytes = 0
+    if history is not None and history.load_seconds is not None:
+        load = history.load_seconds
+    else:
+        load = nbytes / DISK_BANDWIDTH
+    return CostRecord(compute, load, nbytes)
+
+
+def build_costs(spec: WorkflowSpec, manifest: CacheManifest) -> dict[str, CostRecord]:
+    """Per-node costs, shared by the planner and the materialization policy."""
+    return {node.name: _node_cost(node, manifest.cost_history.get(node.name))
+            for node in spec.nodes}
 
 
 @dataclass
@@ -153,7 +151,6 @@ class PlanContext:
     """Everything decided before execution starts."""
 
     spec: WorkflowSpec
-    dead_operators: set[str]
     signatures: dict[str, str]
     changes: ChangeSet
     costs: dict[str, CostRecord]
@@ -170,7 +167,7 @@ def prepare(
 ) -> PlanContext:
     """Parse, prune, fingerprint, diff and plan; read-only throughout."""
     parsed = parse_workflow(spec_text)
-    spec, dead = prune_dead_operators(parsed)
+    spec, _ = prune_dead_operators(parsed)
     if config.clock_mode == CLOCK_SIMULATED:
         offenders = [n.name for n in spec.nodes if not isinstance(n.action, SimulatedAction)]
         if offenders:
@@ -192,7 +189,6 @@ def prepare(
     )
     return PlanContext(
         spec=spec,
-        dead_operators=dead,
         signatures=signatures,
         changes=changes,
         costs=costs,
@@ -244,8 +240,8 @@ class _Executor:
         sig = self.ctx.signatures[node.name]
         try:
             if self.simulated:
+                self.store.get(sig)
                 observed = self.costs[node.name].load_seconds
-                self.store.get(sig, observed_seconds=observed)
             else:
                 started = time.monotonic()
                 payload = self.store.get(sig)
@@ -263,6 +259,7 @@ class _Executor:
                 rec.detail = f"load failed: {exc}"
             return
         rec.wall_seconds = observed
+        self.store.record_load(node.name, observed)
         self.available.add(node.name)
 
     def _run_action(self, node: OperatorNode, rec: NodeRunRecord) -> bytes | None:
@@ -315,8 +312,7 @@ class _Executor:
         else:
             cost_bytes = len(payload)
         self.store.record_costs(node.name, rec.wall_seconds, cost_bytes)
-        est_load = _load_estimate(self.store.manifest.cost_history[node.name], cost_bytes)
-        self.costs[node.name] = CostRecord(rec.wall_seconds, est_load, cost_bytes)
+        self.costs[node.name] = _node_cost(node, self.store.manifest.cost_history[node.name])
         self.chains.add(node.name, self.costs)
         if node.name in self.ctx.cached:
             return  # already persisted under this signature; nothing to decide
@@ -334,7 +330,7 @@ class _Executor:
             )
 
     def run(self) -> tuple[dict[str, NodeRunRecord], bool]:
-        for name in topological_order(self.ctx.spec):
+        for name in self.ctx.spec.order:
             node = self.ctx.spec.node(name)
             state = self.ctx.plan.states[name]
             rec = NodeRunRecord(state=state.value, signature=self.ctx.signatures[name])

@@ -9,11 +9,14 @@ Layout under the cache root:
 
 The manifest carries three things: the entry index (signature -> payload
 metadata), the signature map of the last fully successful run, and a
-per-node cost history used for planning estimates.  Writes are crash-safe
-in the usual write-temp-then-rename style, payload first and manifest
-second, so the manifest never references a payload that is not already
-durable.  A payload that became durable right before a crash is merely an
-orphan file; the next writer sweeps it away when it opens the store.
+per-node cost history used for planning estimates.  The store keeps those
+costs but measures none of them: the executor reports every compute and
+load duration through record_costs() and record_load().  Writes are
+crash-safe in the usual write-temp-then-rename style, payload first and
+manifest second, so the manifest never references a payload that is not
+already durable.  A payload that became durable right before a crash is
+merely an orphan file; the next writer sweeps it away when it opens the
+store.
 
 One writer at a time per cache root, enforced with flock on ``.lock``;
 read-only opens take no lock and never modify anything.
@@ -25,7 +28,6 @@ import fcntl
 import json
 import logging
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
@@ -45,6 +47,9 @@ MANIFEST_VERSION = 1
 # Exponential moving average weight for observed load times.
 _LOAD_EMA_ALPHA = 0.5
 
+# Entry keys older manifests wrote and this version drops when reading.
+_RETIRED_ENTRY_KEYS = ("measured_load_seconds", "created_at")
+
 
 @dataclass
 class CacheEntry:
@@ -53,7 +58,6 @@ class CacheEntry:
     payload_path: str  # relative to the cache root
     output_bytes: int  # actual payload file size
     measured_compute_seconds: float
-    created_at: float = 0.0
     # Size charged against the storage budget; differs from output_bytes for
     # simulated operators, whose on-disk payload is a small stand-in.
     charged_bytes: int = 0
@@ -64,7 +68,6 @@ class CacheEntry:
             "payload_path": self.payload_path,
             "output_bytes": self.output_bytes,
             "measured_compute_seconds": self.measured_compute_seconds,
-            "created_at": self.created_at,
             "charged_bytes": self.charged_bytes,
         }
 
@@ -133,7 +136,8 @@ def load_manifest(cache_root: Path | str) -> CacheManifest:
         return CacheManifest()
     entries = {}
     for sig, raw in doc.get("entries", {}).items():
-        raw.pop("measured_load_seconds", None)  # retired: loads are averaged per name
+        for key in _RETIRED_ENTRY_KEYS:
+            raw.pop(key, None)
         entries[sig] = CacheEntry(signature=sig, **raw)
     history = {
         name: HistoryRecord(**raw) for name, raw in doc.get("cost_history", {}).items()
@@ -189,8 +193,8 @@ class CacheStore:
             self._acquire_lock()
         try:
             self.manifest = load_manifest(self.root)
-            if writable:
-                self.recover()
+            # Broken entries the open dropped, reported once by gc().
+            self._dropped = self.recover() if writable else []
         except BaseException:
             self._release_lock()
             raise
@@ -316,7 +320,6 @@ class CacheStore:
             payload_path=str(final.relative_to(self.root)),
             output_bytes=len(payload),
             measured_compute_seconds=compute_seconds,
-            created_at=time.time(),
             charged_bytes=len(payload) if charged_bytes is None else charged_bytes,
         )
         self.manifest.entries[signature] = entry
@@ -324,18 +327,12 @@ class CacheStore:
         save_manifest(self.root, self.manifest, self._checkpoint)
         return entry
 
-    def get(self, signature: str, observed_seconds: float | None = None) -> bytes:
-        """Read a payload back and record the observed load time.
-
-        The node name's load-time statistic is updated with an exponential
-        moving average.  Pass ``observed_seconds`` to substitute a modeled
-        duration (simulated clock); by default wall time is measured.
-        """
+    def get(self, signature: str) -> bytes:
+        """Read a payload back, failing loudly if it is missing or torn."""
         entry = self.manifest.entries.get(signature)
         if entry is None:
             raise EntryNotFoundError(signature)
         path = self.root / entry.payload_path
-        started = time.monotonic()
         try:
             payload = path.read_bytes()
         except FileNotFoundError:
@@ -345,13 +342,6 @@ class CacheStore:
                 signature,
                 f"size mismatch: manifest says {entry.output_bytes}, file has {len(payload)}",
             )
-        observed = observed_seconds if observed_seconds is not None \
-            else time.monotonic() - started
-        history = self.manifest.cost_history.get(entry.node_name)
-        if self.writable and history is not None:
-            previous = history.load_seconds
-            history.load_seconds = observed if previous is None else (
-                _LOAD_EMA_ALPHA * observed + (1.0 - _LOAD_EMA_ALPHA) * previous)
         return payload
 
     def record_costs(self, node_name: str, compute_seconds: float,
@@ -366,6 +356,15 @@ class CacheStore:
             output_bytes=output_bytes,
         )
 
+    def record_load(self, node_name: str, seconds: float) -> None:
+        """Fold one load duration into the node name's moving average."""
+        assert self.writable, "read-only store"
+        history = self.manifest.cost_history.get(node_name)
+        if history is not None:
+            previous = history.load_seconds
+            history.load_seconds = seconds if previous is None else (
+                _LOAD_EMA_ALPHA * seconds + (1.0 - _LOAD_EMA_ALPHA) * previous)
+
     # -- maintenance ---------------------------------------------------
 
     def entries(self) -> Iterator[CacheEntry]:
@@ -373,10 +372,11 @@ class CacheStore:
             yield self.manifest.entries[sig]
 
     def gc(self, keep_latest: bool = False) -> list[str]:
-        """Remove broken entries and orphans; with ``keep_latest``, also
-        drop every entry not referenced by the last successful run."""
+        """Report the broken entries this store dropped when it opened; with
+        ``keep_latest``, also drop every entry not referenced by the last
+        successful run.  Orphan payloads were swept at open as well."""
         assert self.writable, "read-only store"
-        removed = self.recover()
+        removed, self._dropped = self._dropped, []
         if keep_latest:
             latest = set(self.manifest.previous_signatures.values())
             for sig in sorted(set(self.manifest.entries) - latest):

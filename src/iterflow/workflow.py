@@ -13,7 +13,7 @@ import heapq
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .errors import (
     CycleDetectedError,
@@ -130,6 +130,26 @@ class WorkflowSpec:
                 children[parent].append(node.name)
         return {name: tuple(sorted(kids)) for name, kids in children.items()}
 
+    @cached_property
+    def order(self) -> tuple[str, ...]:
+        """Parents-first order, lexicographic among ready nodes (Kahn).
+
+        Nodes on or below a dependency cycle never become ready and are left
+        out; validate() rejects such a spec, so a valid spec's order is total.
+        """
+        indegree = {n.name: len(n.parents) for n in self.nodes}
+        ready = [name for name, deg in indegree.items() if deg == 0]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(name)
+            for child in self.child_map[name]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    heapq.heappush(ready, child)
+        return tuple(order)
+
     def node(self, name: str) -> OperatorNode:
         return self.by_name[name]
 
@@ -198,33 +218,21 @@ def _parse_action(doc: Any, where: str) -> Action:
     raise WorkflowSyntaxError(f"{where}: unknown action type {kind!r}")
 
 
-def _find_cycle(parent_map: Mapping[str, tuple[str, ...]]) -> list[str] | None:
-    """Return the node names of one dependency cycle, or None if acyclic."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = dict.fromkeys(parent_map, WHITE)
-    for start in sorted(parent_map):
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, Iterable[str]]] = [(start, iter(sorted(parent_map[start])))]
-        color[start] = GREY
-        path = [start]
-        while stack:
-            node, parents = stack[-1]
-            advanced = False
-            for parent in parents:
-                if color[parent] == GREY:
-                    return path[path.index(parent):]
-                if color[parent] == WHITE:
-                    color[parent] = GREY
-                    path.append(parent)
-                    stack.append((parent, iter(sorted(parent_map[parent]))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
-    return None
+def _one_cycle(spec: WorkflowSpec) -> list[str]:
+    """One dependency cycle among the nodes the order left out.
+
+    Every left-out node has a left-out parent, so walking from the smallest
+    left-out name to its smallest left-out parent must repeat a name.
+    """
+    left_out = set(spec.by_name) - set(spec.order)
+    name = min(left_out)
+    path = {name: None}  # insertion-ordered, with constant-time membership
+    while True:
+        name = min(p for p in spec.node(name).parents if p in left_out)
+        if name in path:
+            walked = list(path)
+            return walked[walked.index(name):]
+        path[name] = None
 
 
 def validate(spec: WorkflowSpec) -> WorkflowSpec:
@@ -242,9 +250,8 @@ def validate(spec: WorkflowSpec) -> WorkflowSpec:
         raise NoOutputsError()
     for out in spec.outputs:
         _require(out in seen, f"outputs: unknown node {out!r}")
-    cycle = _find_cycle(spec.parent_map())
-    if cycle is not None:
-        raise CycleDetectedError(cycle)
+    if len(spec.order) < len(spec.nodes):
+        raise CycleDetectedError(_one_cycle(spec))
     for node in spec.nodes:
         _require(
             bool(node.parents) or bool(node.sources),
@@ -296,20 +303,7 @@ def serialize_workflow(spec: WorkflowSpec) -> str:
 
 def topological_order(spec: WorkflowSpec) -> list[str]:
     """Parents-first order, lexicographic among ready nodes (deterministic)."""
-    indegree = {n.name: len(n.parents) for n in spec.nodes}
-    ready = [name for name, deg in indegree.items() if deg == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        name = heapq.heappop(ready)
-        order.append(name)
-        for child in spec.child_map[name]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                heapq.heappush(ready, child)
-    # validate() guarantees acyclicity, so the order is always total.
-    assert len(order) == len(spec.nodes)
-    return order
+    return list(spec.order)
 
 
 def prune_dead_operators(spec: WorkflowSpec) -> tuple[WorkflowSpec, set[str]]:

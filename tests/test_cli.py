@@ -262,6 +262,18 @@ class TestCache:
         remaining = load_manifest(cache)
         assert set(remaining.entries) == set(remaining.previous_signatures.values())
 
+    def test_gc_reports_entries_dropped_as_broken(self, env, capsys):
+        ws, cache = env
+        from iterflow.store import CacheStore
+
+        with CacheStore(cache) as store:
+            broken = store.put("a", "aa" * 32, b"12345678", 1.0)
+            store.put("b", "bb" * 32, b"abcdefgh", 1.0)
+        (cache / broken.payload_path).write_bytes(b"123")
+        code, out, _ = run_cli(capsys, "cache", "gc", "--cache", str(cache))
+        assert code == 0
+        assert out.splitlines() == [f"removed\t{'aa' * 6}", "entries_remaining\t1"]
+
     def test_gc_on_locked_cache_exits_three(self, env, capsys):
         ws, cache = env
         from iterflow.store import CacheStore

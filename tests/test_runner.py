@@ -167,20 +167,18 @@ class TestSimulatedRuns:
         ws, cache = env
         spec = chain_spec("a")
         path = deploy(spec, ws)
-        signatures = []
         for version in ("v1", "v2"):
             edited = spec.replace_node(
                 dataclasses.replace(spec.node("a"), env_fingerprint=version)
             )
             path.write_text(serialize_workflow(edited))
             run_iteration(path, ws, cache, sim_config())
-            signatures.append(load_manifest(cache).previous_signatures["a"])
         with CacheStore(cache) as store:
-            store.get(signatures[0], observed_seconds=2.5)
-            store.get(signatures[1], observed_seconds=0.5)
+            store.record_load("a", 2.5)
+            store.record_load("a", 0.5)
         ctx = prepare(path.read_text(), ws, load_manifest(cache), sim_config())
-        # The current signature alone loaded in 0.5 s, cheaper than the 1 s
-        # compute; the name's average is 1.5 s, so the planner computes.
+        # The last load took 0.5 s, cheaper than the 1 s compute; the name's
+        # average is 1.5 s, so the planner computes.
         assert ctx.cached == {"a"}
         assert ctx.costs["a"].load_seconds == 1.5
         assert ctx.plan.states == {"a": NodeState.COMPUTE}
@@ -193,11 +191,13 @@ class TestSimulatedRuns:
         doc = json.loads(manifest_path.read_text())
         for entry in doc["entries"].values():
             entry["measured_load_seconds"] = 0.5  # the older per-signature average
+            entry["created_at"] = 1700000000.0  # retired with the payload file's mtime
         manifest_path.write_text(json.dumps(doc))
         report = run_iteration(path, ws, cache, sim_config())
         assert report.succeeded
         assert report.compute_seconds == 0
         assert "measured_load_seconds" not in manifest_path.read_text()
+        assert "created_at" not in manifest_path.read_text()
 
     def test_run_log_grows_and_cumulative_is_monotone(self, env):
         ws, cache = env
@@ -286,6 +286,33 @@ class TestRealCommands:
         assert (ws / "out" / "zeros.bin").stat().st_size == 20_000_000
         assert not report.nodes["zeros"].materialized
         assert load_manifest(cache).entries == {}
+
+    def test_load_average_is_the_reported_load_time(self, env):
+        # A real-clock load restores the payload into the workspace; the
+        # planner's estimate must include that write, as the report does.
+        ws, cache = env
+        (ws / "data").mkdir()
+        (ws / "data" / "in.txt").write_text("x")
+        path = ws / "workflow.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "nodes": [
+                {"name": "big", "kind": "ml",
+                 "action": {"type": "command",
+                            "argv": ["sh", "-c", "sleep 0.3; head -c 4000000 /dev/zero > {output}"],
+                            "output": "out/big.bin"},
+                 "parents": [], "sources": ["data/in.txt"]},
+            ],
+            "outputs": ["big"],
+        }))
+        cold = run_iteration(path, ws, cache, RunConfig())
+        assert cold.succeeded, cold.failed_nodes
+        assert cold.nodes["big"].materialized
+        warm = run_iteration(path, ws, cache, RunConfig())
+        assert warm.nodes["big"].state == "load"
+        assert warm.nodes["big"].ok, warm.nodes["big"].detail
+        history = load_manifest(cache).cost_history["big"]
+        assert history.load_seconds == warm.nodes["big"].wall_seconds
 
     def test_chain_reads_measured_costs(self, env, monkeypatch):
         # A first run has no history, so the plan assumes the default compute
@@ -380,7 +407,7 @@ class TestRealCommands:
         # executor recomputes it instead of aborting
         from iterflow.errors import CorruptEntryError
 
-        def broken_get(self, signature, observed_seconds=None):
+        def broken_get(self, signature):
             raise CorruptEntryError(signature, "flaky disk")
 
         monkeypatch.setattr(CacheStore, "get", broken_get)
@@ -402,7 +429,7 @@ class TestRealCommands:
 
         from iterflow.errors import CorruptEntryError
 
-        def broken_get(self, signature, observed_seconds=None):
+        def broken_get(self, signature):
             raise CorruptEntryError(signature, "flaky disk")
 
         monkeypatch.setattr(CacheStore, "get", broken_get)

@@ -61,10 +61,9 @@ class TestPutGet:
     def test_load_time_moving_average(self, root):
         with CacheStore(root) as store:
             store.record_costs("node", 1.0, 4)
-            store.put("node", SIG_A, b"data", 1.0)
-            store.get(SIG_A, observed_seconds=4.0)
+            store.record_load("node", 4.0)
             assert store.manifest.cost_history["node"].load_seconds == 4.0
-            store.get(SIG_A, observed_seconds=2.0)
+            store.record_load("node", 2.0)
             assert store.manifest.cost_history["node"].load_seconds == 3.0
 
 

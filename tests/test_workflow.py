@@ -50,6 +50,13 @@ class TestParse:
             parse_workflow(text)
         assert set(err.value.cycle) == {"a", "b"}
 
+    def test_cycle_behind_a_tail_reports_only_the_cycle(self):
+        text = doc([node_doc("a", parents=["b"]), node_doc("b", parents=["c"]),
+                    node_doc("c", parents=["b"])], ["a"])
+        with pytest.raises(CycleDetectedError) as err:
+            parse_workflow(text)
+        assert sorted(err.value.cycle) == ["b", "c"]
+
     def test_dangling_parent(self):
         text = doc([node_doc("train", parents=["features"])], ["train"])
         with pytest.raises(UnknownParentError) as err:
@@ -154,6 +161,11 @@ class TestTopologicalOrder:
 
     def test_single_node(self):
         assert topological_order(chain_spec("only")) == ["only"]
+
+    def test_returned_list_is_a_copy(self):
+        spec = chain_spec("a", "b", "c")
+        topological_order(spec).reverse()
+        assert topological_order(spec) == ["a", "b", "c"]
 
     def test_parents_always_precede_children(self):
         rng = random.Random(7)
