@@ -73,12 +73,13 @@ class RecomputeChains:
     """Recompute chain of each node of one iteration: its own compute time
     plus that of every ancestor, each ancestor counted once.
 
-    ``add`` is called once per node, in topological order, after the node's
-    parents, with costs final for that node.  Each node keeps its ancestor
-    set as an int bitset over the order of ``add`` calls.  Its chain is that
-    of the parent with the largest set, plus the compute of every node of
-    its own set the parent's lacks, itself included; the sums are integer
-    microseconds, so the result equals the plain set sum exactly.
+    ``add`` is called for a node once its cost is final; it first adds every
+    ancestor not added yet, parents first, with the costs it is given.  Each
+    node keeps its ancestor set as an int bitset over the order in which
+    nodes were added.  Its chain is that of the parent with the largest set,
+    plus the compute of every node of its own set the parent's lacks, itself
+    included; the sums are integer microseconds, so the result equals the
+    plain set sum exactly, whatever the order of the adds.
     """
 
     def __init__(self, dag: Dag):
@@ -87,10 +88,21 @@ class RecomputeChains:
         self._bits: dict[str, int] = {}
         self.micros: dict[str, int] = {}
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.micros
-
     def add(self, name: str, costs: Mapping[str, CostRecord]) -> None:
+        """Add ``name`` and its absent ancestors; a node added before keeps
+        its chain."""
+        pending = [name]
+        while pending:
+            current = pending[-1]
+            absent = [parent for parent in self._dag[current] if parent not in self._bits]
+            if absent:
+                pending.extend(absent)
+                continue
+            pending.pop()
+            if current not in self._bits:
+                self._add_one(current, costs)
+
+    def _add_one(self, name: str, costs: Mapping[str, CostRecord]) -> None:
         parents = self._dag[name]
         bits = 1 << len(self._names)
         self._names.append(name)

@@ -225,7 +225,8 @@ class _Executor:
         self.costs = dict(ctx.costs)
         self.available: set[str] = set()
         self.records: dict[str, NodeRunRecord] = {}
-        # Each node joins once its cost is final, in topological order.
+        # A computed node joins once its cost is final, with every ancestor
+        # not in yet; a node with no computed descendant never joins.
         self.chains = RecomputeChains(ctx.spec.parent_map())
 
     def output_path(self, node: OperatorNode) -> Path:
@@ -339,8 +340,6 @@ class _Executor:
                 self.run_load(node, rec)
             elif state is NodeState.COMPUTE:
                 self.run_compute(node, rec)
-            if name not in self.chains:  # loaded, pruned, failed or skipped
-                self.chains.add(name, self.costs)
         return self.records, all(r.ok for r in self.records.values())
 
 

@@ -4,6 +4,7 @@ Layout under the cache root:
 
     objects/<first two hex chars>/<signature>.bin   payload files
     manifest.json                                   index + cross-run state
+    manifest.journal                                entries put since manifest.json
     runs.log                                        one JSON report per line
     .lock                                           advisory writer lock
 
@@ -11,12 +12,15 @@ The manifest carries three things: the entry index (signature -> payload
 metadata), the signature map of the last fully successful run, and a
 per-node cost history used for planning estimates.  The store keeps those
 costs but measures none of them: the executor reports every compute and
-load duration through record_costs() and record_load().  Writes are
-crash-safe in the usual write-temp-then-rename style, payload first and
-manifest second, so the manifest never references a payload that is not
-already durable.  A payload that became durable right before a crash is
-merely an orphan file; the next writer sweeps it away when it opens the
-store.
+load duration through record_costs() and record_load().
+
+A put makes its payload durable (write temp, fsync, rename, fsync the
+directory) and only then appends one line to the journal and fsyncs it, so
+no entry ever references a payload that is not already durable.  A payload
+that became durable right before a crash is merely an orphan file; the next
+writer sweeps it away when it opens the store.  Readers replay the journal
+over manifest.json; closing a writable store compacts both into a fresh
+manifest.json and removes the journal.
 
 One writer at a time per cache root, enforced with flock on ``.lock``;
 read-only opens take no lock and never modify anything.
@@ -113,14 +117,44 @@ def _manifest_path(root: Path) -> Path:
     return root / "manifest.json"
 
 
-def load_manifest(cache_root: Path | str) -> CacheManifest:
-    """Read the manifest; a missing file or directory means a cold start.
+def _journal_path(root: Path) -> Path:
+    return root / "manifest.journal"
 
-    A manifest written by a newer format raises VersionMismatchError.  A
-    manifest hashed with a different algorithm invalidates the whole cache:
-    its entries are unusable because signatures can never match again.
+
+def _fsync_dir(path: Path) -> None:
+    """Make the entries of directory ``path`` (a rename, a new file) durable."""
+    fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _read_journal(root: Path) -> tuple[list[CacheEntry], int]:
+    """The journal's entries, oldest first, and the length of the prefix
+    that holds them.
+
+    Each line is ``[signature, entry]``.  Reading stops at the first line
+    that is torn (no newline yet) or does not parse; nothing after it counts.
     """
-    path = _manifest_path(Path(cache_root))
+    try:
+        data = _journal_path(root).read_bytes()
+    except FileNotFoundError:
+        return [], 0
+    entries: list[CacheEntry] = []
+    good = 0
+    while (end := data.find(b"\n", good)) >= 0:
+        try:
+            sig, raw = json.loads(data[good:end])
+            entries.append(CacheEntry(signature=sig, **raw))
+        except (ValueError, TypeError):
+            break
+        good = end + 1
+    return entries, good
+
+
+def _read_manifest_file(root: Path) -> CacheManifest:
+    path = _manifest_path(root)
     try:
         doc = json.loads(path.read_text("utf-8"))
     except FileNotFoundError:
@@ -131,7 +165,7 @@ def load_manifest(cache_root: Path | str) -> CacheManifest:
     if doc.get("hash_algorithm") != HASH_ALGORITHM:
         logger.warning(
             "cache %s was hashed with %r, engine uses %r; starting fresh",
-            cache_root, doc.get("hash_algorithm"), HASH_ALGORITHM,
+            root, doc.get("hash_algorithm"), HASH_ALGORITHM,
         )
         return CacheManifest()
     entries = {}
@@ -151,9 +185,27 @@ def load_manifest(cache_root: Path | str) -> CacheManifest:
     )
 
 
-def save_manifest(cache_root: Path | str, manifest: CacheManifest,
-                  checkpoint: Callable[[str], None] | None = None) -> None:
-    """Atomically replace the manifest (write temp, fsync, rename)."""
+def load_manifest(cache_root: Path | str) -> CacheManifest:
+    """Read the manifest and replay the journal over it; nothing on disk
+    means a cold start.
+
+    A manifest written by a newer format raises VersionMismatchError.  A
+    manifest hashed with a different algorithm invalidates the whole cache:
+    its entries are unusable because signatures can never match again.  The
+    journal is always this engine's, so it is replayed either way.
+    """
+    root = Path(cache_root)
+    # Journal first: a writer that compacts in between has folded what was
+    # read into manifest.json, so no entry is missed.
+    journal, _ = _read_journal(root)
+    manifest = _read_manifest_file(root)
+    manifest.entries.update((entry.signature, entry) for entry in journal)
+    return manifest
+
+
+def save_manifest(cache_root: Path | str, manifest: CacheManifest) -> None:
+    """Atomically and durably replace the manifest (write temp, fsync,
+    rename, fsync the directory)."""
     root = Path(cache_root)
     root.mkdir(parents=True, exist_ok=True)
     path = _manifest_path(root)
@@ -163,11 +215,8 @@ def save_manifest(cache_root: Path | str, manifest: CacheManifest,
         fh.write(payload)
         fh.flush()
         os.fsync(fh.fileno())
-    if checkpoint:
-        checkpoint("manifest-tmp-written")
     os.replace(tmp, path)
-    if checkpoint:
-        checkpoint("manifest-renamed")
+    _fsync_dir(root)
 
 
 class CacheStore:
@@ -175,8 +224,9 @@ class CacheStore:
 
     Writable stores hold the advisory lock for their whole lifetime and
     sweep inconsistencies left by earlier crashes when they open.  Use as a
-    context manager or call close(); the manifest is persisted on close and
-    after every put.
+    context manager or call close().  Each put appends its entry to the
+    journal; save(), called by close(), writes the whole manifest and
+    removes the journal.
 
     ``fault_hook`` is a test seam: when set, it is invoked with a stage
     label at every write boundary inside put(), letting crash tests abort
@@ -237,19 +287,30 @@ class CacheStore:
         self.close()
 
     def save(self) -> None:
+        """Compact: write the whole manifest, then drop the journal.  A crash
+        in between leaves a journal that replays to what was just saved."""
         assert self.writable, "read-only store"
         save_manifest(self.root, self.manifest)
+        _journal_path(self.root).unlink(missing_ok=True)
 
     # -- consistency ---------------------------------------------------
 
     def recover(self) -> list[str]:
-        """Drop stale temp files, orphan payloads and broken entries.
+        """Cut a torn journal tail; drop stale temp files, orphan payloads
+        and broken entries.
 
         Returns the signatures of entries that had to be removed.  Called
         automatically when a writable store opens, so a crash mid-put never
         leaves the store referencing missing or partial data.
         """
         objects = self.root / "objects"
+        journal = _journal_path(self.root)
+        if journal.is_file():
+            _, good = _read_journal(self.root)
+            torn = journal.stat().st_size - good
+            if torn:
+                logger.warning("cutting a torn record (%d bytes) off %s", torn, journal)
+                os.truncate(journal, good)
         removed: list[str] = []
         for sig, entry in list(self.manifest.entries.items()):
             path = self.root / entry.payload_path
@@ -287,7 +348,7 @@ class CacheStore:
 
         Re-putting an existing signature is a no-op (content addressing:
         equal signature means equal bytes).  The payload becomes durable
-        before the manifest mentions it.
+        before the journal mentions it.
         """
         assert self.writable, "read-only store"
         self._checkpoint("put-start")
@@ -313,6 +374,8 @@ class CacheStore:
         self._checkpoint("payload-closed")
         os.replace(tmp, final)
         self._checkpoint("payload-renamed")
+        _fsync_dir(final.parent)
+        self._checkpoint("payload-dir-fsynced")
 
         entry = CacheEntry(
             signature=signature,
@@ -324,8 +387,25 @@ class CacheStore:
         )
         self.manifest.entries[signature] = entry
         self._checkpoint("entry-recorded")
-        save_manifest(self.root, self.manifest, self._checkpoint)
+        self._append_journal(entry)
         return entry
+
+    def _append_journal(self, entry: CacheEntry) -> None:
+        """Append one durable ``[signature, entry]`` line to the journal."""
+        line = json.dumps([entry.signature, entry.to_json()],
+                          separators=(",", ":")).encode() + b"\n"
+        with open(_journal_path(self.root), "ab") as fh:
+            created = fh.tell() == 0
+            half = len(line) // 2
+            fh.write(line[:half])
+            self._checkpoint("journal-partially-appended")
+            fh.write(line[half:])
+            self._checkpoint("journal-appended")
+            fh.flush()
+            os.fsync(fh.fileno())
+            self._checkpoint("journal-fsynced")
+        if created:  # the journal's own name must survive a power cut too
+            _fsync_dir(self.root)
 
     def get(self, signature: str) -> bytes:
         """Read a payload back, failing loudly if it is missing or torn."""
@@ -379,9 +459,12 @@ class CacheStore:
         removed, self._dropped = self._dropped, []
         if keep_latest:
             latest = set(self.manifest.previous_signatures.values())
-            for sig in sorted(set(self.manifest.entries) - latest):
-                entry = self.manifest.entries.pop(sig)
-                (self.root / entry.payload_path).unlink(missing_ok=True)
-                removed.append(sig)
+            dropped = [self.manifest.entries.pop(sig)
+                       for sig in sorted(set(self.manifest.entries) - latest)]
+            # Entries first, payloads second: a crash in between leaves
+            # orphans, which the next writable open sweeps.
             self.save()
+            for entry in dropped:
+                (self.root / entry.payload_path).unlink(missing_ok=True)
+                removed.append(entry.signature)
         return removed

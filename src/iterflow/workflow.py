@@ -311,7 +311,11 @@ def prune_dead_operators(spec: WorkflowSpec) -> tuple[WorkflowSpec, set[str]]:
 
     Returns the pruned spec (node order preserved) and the removed names.
     ``spec`` must be validated; the kept nodes are closed under parents, so
-    the pruned spec is valid as well and is not checked again.
+    the pruned spec is valid as well and is not checked again.  Its order is
+    ``spec.order`` without the removed names: a kept node's parents are all
+    kept, so it becomes ready in both specs at the same point, and whenever
+    ``spec.order`` places a kept node that node is the smallest kept one
+    ready.
     """
     kept: set[str] = set()
     frontier = list(spec.outputs)
@@ -329,6 +333,8 @@ def prune_dead_operators(spec: WorkflowSpec) -> tuple[WorkflowSpec, set[str]]:
         nodes=tuple(n for n in spec.nodes if n.name in kept),
         outputs=spec.outputs,
     )
+    # Seed the cached property, so the pruned spec is never ordered again.
+    vars(pruned)["order"] = tuple(name for name in spec.order if name in kept)
     return pruned, removed
 
 

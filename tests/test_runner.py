@@ -6,7 +6,7 @@ import pytest
 
 from iterflow import runner
 from iterflow.errors import CacheLockedError, InvalidConfigError
-from iterflow.planner import ExecutionPlan, NodeState, _micros
+from iterflow.planner import _MICROS, ExecutionPlan, NodeState, _micros
 from iterflow.runner import (
     CLOCK_SIMULATED,
     PlanContext,
@@ -17,11 +17,17 @@ from iterflow.runner import (
     read_run_log_tail,
     run_iteration,
 )
-from iterflow.policy import EnginePolicy, StorageBudget
+from iterflow.policy import EnginePolicy, RecomputeChains, StorageBudget
 from iterflow.store import CacheStore, load_manifest
 from iterflow.workflow import parse_workflow, serialize_workflow
 
-from conftest import chain_spec, sim_node, sim_spec, write_sources
+from conftest import (
+    chain_spec,
+    recompute_chain_micros,
+    sim_node,
+    sim_spec,
+    write_sources,
+)
 
 
 def sim_config(**kw):
@@ -473,3 +479,75 @@ def test_policy_decision_precedes_downstream_execution(tmp_path, monkeypatch):
         later_runs = [i for i, ev in enumerate(events) if ev[0] == "run" and i > ran]
         assert decided == ran + 1
         assert all(decided < i for i in later_runs)
+
+
+class TestRecomputeChainsInRuns:
+    def record_chains(self, monkeypatch) -> list[RecomputeChains]:
+        made = []
+
+        class Recording(RecomputeChains):
+            def __init__(self, dag):
+                super().__init__(dag)
+                made.append(self)
+
+        monkeypatch.setattr(runner, "RecomputeChains", Recording)
+        return made
+
+    def test_no_edit_warm_run_adds_no_node(self, env, monkeypatch):
+        ws, cache = env
+        path = deploy(chain_spec("a", "b", "c"), ws)
+        made = self.record_chains(monkeypatch)
+        run_iteration(path, ws, cache, sim_config())
+        warm = run_iteration(path, ws, cache, sim_config())
+        assert {rec.state for rec in warm.nodes.values()} == {"load", "prune"}
+        assert [set(chains.micros) for chains in made] == [{"a", "b", "c"}, set()]
+
+    def test_fallback_recompute_below_loaded_parents_keeps_exact_chains(
+        self, env, monkeypatch
+    ):
+        # a -> b -> {c -> e, d}.  Editing d and e loads b and c; c's load
+        # fails, so c is recomputed from the loaded b.  The decisions on d
+        # and e then read chains through ancestors that were never computed.
+        ws, cache = env
+        seconds = {"a": 3.0, "b": 5.0, "c": 7.0, "d": 11.0, "e": 13.0}
+        parents = {"a": (), "b": ("a",), "c": ("b",), "d": ("b",), "e": ("c",)}
+        nodes = [sim_node(n, parents=parents[n], compute_seconds=seconds[n]) for n in parents]
+        spec = sim_spec(nodes, outputs=("d", "e"))
+        path = deploy(spec, ws)
+        run_iteration(path, ws, cache, sim_config())
+        for name in ("d", "e"):
+            spec = spec.replace_node(
+                dataclasses.replace(spec.node(name), env_fingerprint="v2"))
+        path.write_text(serialize_workflow(spec))
+
+        from iterflow.errors import CorruptEntryError
+
+        original_get = CacheStore.get
+
+        def broken_get(self, signature):
+            if self.manifest.entries[signature].node_name == "c":
+                raise CorruptEntryError(signature, "flaky disk")
+            return original_get(self, signature)
+
+        decided = {}
+        original_decide = EnginePolicy.decide
+
+        def spy_decide(self, node, costs, chains, budget):
+            decision = original_decide(self, node, costs, chains, budget)
+            decided[node] = (decision.r_value, dict(costs))
+            return decision
+
+        monkeypatch.setattr(CacheStore, "get", broken_get)
+        monkeypatch.setattr(EnginePolicy, "decide", spy_decide)
+        report = run_iteration(path, ws, cache, sim_config())
+
+        assert report.succeeded, report.failed_nodes
+        states = {name: rec.state for name, rec in report.nodes.items()}
+        assert states == {"a": "prune", "b": "load", "c": "compute",
+                          "d": "compute", "e": "compute"}
+        assert "recomputed" in report.nodes["c"].detail
+        # c's signature is already cached, so only d and e are decided.
+        assert set(decided) == {"d", "e"}
+        for node, (r, costs) in decided.items():
+            oracle = recompute_chain_micros(node, costs, parents)
+            assert r == (oracle - 2 * _micros(costs[node].load_seconds)) / _MICROS

@@ -1,5 +1,7 @@
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,14 @@ from iterflow.errors import (
     EntryNotFoundError,
     VersionMismatchError,
 )
-from iterflow.store import CacheManifest, CacheStore, load_manifest, save_manifest
+from iterflow import store as store_module
+from iterflow.store import (
+    CacheEntry,
+    CacheManifest,
+    CacheStore,
+    load_manifest,
+    save_manifest,
+)
 
 SIG_A = "aa" * 32
 SIG_B = "bb" * 32
@@ -181,20 +190,18 @@ def collect_put_stages(root):
     return stages
 
 
-def test_put_exposes_at_least_ten_injection_points(tmp_path):
-    stages = collect_put_stages(tmp_path / "probe")
-    assert len(stages) >= 10
-    assert len(set(stages)) == len(stages)
+# Probed once, so the crash test below covers every stage a put has.
+with tempfile.TemporaryDirectory() as _probe:
+    PUT_STAGES = collect_put_stages(Path(_probe) / "probe")
 
 
-@pytest.mark.parametrize("stage_index", range(12))
-def test_crash_at_every_write_boundary_leaves_store_consistent(tmp_path, stage_index):
-    probe_root = tmp_path / "probe"
-    stages = collect_put_stages(probe_root)
-    if stage_index >= len(stages):
-        pytest.skip("fewer stages than probed")
-    target = stages[stage_index]
+def test_put_exposes_at_least_ten_injection_points():
+    assert len(PUT_STAGES) >= 10
+    assert len(set(PUT_STAGES)) == len(PUT_STAGES)
 
+
+@pytest.mark.parametrize("target", PUT_STAGES, ids=[str(i) for i in range(len(PUT_STAGES))])
+def test_crash_at_every_write_boundary_leaves_store_consistent(tmp_path, target):
     root = tmp_path / "cache"
     with CacheStore(root) as store:
         store.put("other", SIG_B, b"pre-existing", 1.0)
@@ -220,3 +227,116 @@ def test_crash_at_every_write_boundary_leaves_store_consistent(tmp_path, stage_i
     objects = root / "objects"
     leftovers = [p for p in objects.rglob("*.tmp.*")] if objects.is_dir() else []
     assert leftovers == []
+
+
+def sig(i: int) -> str:
+    return f"{i:064x}"
+
+
+def kill(store: CacheStore) -> None:
+    """Drop a writable store the way a killed process would: no close()."""
+    os.close(store._lock_fd)
+    store._lock_fd = None
+
+
+class TestJournal:
+    def journal(self, root):
+        return root / "manifest.journal"
+
+    def test_put_appends_instead_of_saving_the_manifest(self, root, monkeypatch):
+        saves = []
+        monkeypatch.setattr(store_module, "save_manifest",
+                            lambda *args, **kwargs: saves.append(args))
+        store = CacheStore(root)
+        store.put("node", SIG_A, b"x", 1.0)
+        store.put("node", SIG_B, b"y", 1.0)
+        assert saves == []
+        assert len(self.journal(root).read_bytes().splitlines()) == 2
+        kill(store)
+
+    def test_bytes_appended_per_put_do_not_grow_with_the_cache(self, root):
+        appended = []
+        for size in (10, 1000):
+            cache = root / str(size)
+            manifest = CacheManifest()
+            for i in range(size):
+                path = f"objects/{sig(i)[:2]}/{sig(i)}.bin"
+                (cache / path).parent.mkdir(parents=True, exist_ok=True)
+                (cache / path).write_bytes(b"p")
+                manifest.entries[sig(i)] = CacheEntry(sig(i), "node", path, 1, 1.0, 1)
+            save_manifest(cache, manifest)
+            store = CacheStore(cache)
+            assert len(store.manifest.entries) == size
+            store.put("node", SIG_A, b"x", 1.0)
+            appended.append(self.journal(cache).stat().st_size)
+            kill(store)
+        assert appended[0] == appended[1]
+
+    def test_torn_tail_is_ignored_by_readers_and_cut_by_writers(self, root):
+        store = CacheStore(root)
+        store.put("node", SIG_A, b"x", 1.0)
+        kill(store)
+        journal = self.journal(root)
+        whole = journal.read_bytes()
+        torn = whole + b'["' + SIG_B.encode()
+        journal.write_bytes(torn)
+
+        assert set(load_manifest(root).entries) == {SIG_A}
+        assert set(CacheStore(root, writable=False).manifest.entries) == {SIG_A}
+        assert journal.read_bytes() == torn
+
+        store = CacheStore(root)
+        assert journal.read_bytes() == whole
+        assert set(store.manifest.entries) == {SIG_A}
+        kill(store)
+
+    def test_replay_stops_at_the_first_line_that_does_not_parse(self, root):
+        store = CacheStore(root)
+        store.put("a", SIG_A, b"x", 1.0)
+        store.put("b", SIG_B, b"y", 1.0)
+        kill(store)
+        first, second = self.journal(root).read_bytes().splitlines(keepends=True)
+        self.journal(root).write_bytes(first + b"not json\n" + second)
+        assert set(load_manifest(root).entries) == {SIG_A}
+        with CacheStore(root) as store:
+            assert self.journal(root).read_bytes() == first
+            assert set(store.manifest.entries) == {SIG_A}
+
+    def test_killed_writer_keeps_its_puts(self, root):
+        with CacheStore(root) as store:
+            store.put("old", SIG_A, b"closed", 1.0)
+        store = CacheStore(root)
+        store.put("new", SIG_B, b"journaled", 1.0)
+        kill(store)
+        assert self.journal(root).is_file()
+        assert set(json.loads((root / "manifest.json").read_text())["entries"]) == {SIG_A}
+
+        assert set(load_manifest(root).entries) == {SIG_A, SIG_B}
+        with CacheStore(root) as store:
+            assert store.get(SIG_B) == b"journaled"
+        assert not self.journal(root).exists()
+        assert set(verify_consistent(root).entries) == {SIG_A, SIG_B}
+
+    def test_journal_left_beside_a_compacted_manifest_replays_to_it(self, root):
+        # A crash between the manifest's rename and the journal's unlink.
+        store = CacheStore(root)
+        store.put("a", SIG_A, b"x", 1.0)
+        store.put("b", SIG_B, b"y", 1.0)
+        journal = self.journal(root).read_bytes()
+        store.close()
+        compacted = load_manifest(root).to_json()
+        self.journal(root).write_bytes(journal)
+        assert load_manifest(root).to_json() == compacted
+        with CacheStore(root) as store:
+            assert store.manifest.to_json() == compacted
+
+    def test_gc_keep_latest_leaves_no_journal(self, root):
+        store = CacheStore(root)
+        store.put("node", SIG_A, b"old", 1.0)
+        kill(store)
+        with CacheStore(root) as store:
+            store.put("node", SIG_B, b"new", 1.0)
+            store.manifest.previous_signatures = {"node": SIG_B}
+            assert store.gc(keep_latest=True) == [SIG_A]
+            assert not self.journal(root).exists()
+        assert set(verify_consistent(root).entries) == {SIG_B}

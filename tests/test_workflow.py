@@ -11,13 +11,14 @@ from iterflow.errors import (
     WorkflowSyntaxError,
 )
 from iterflow.workflow import (
+    WorkflowSpec,
     parse_workflow,
     prune_dead_operators,
     serialize_workflow,
     topological_order,
 )
 
-from conftest import chain_spec, random_spec, sim_node, sim_spec
+from conftest import chain_spec, random_dag, random_spec, sim_node, sim_spec
 
 
 def doc(nodes, outputs, version=1):
@@ -232,3 +233,25 @@ class TestPruneDeadOperators:
                     seen.add(cur)
                     frontier.extend(k for k in pruned.child_map[cur] if k not in seen)
                 assert reached, f"{node.name} cannot reach any output"
+
+    def test_pruned_order_is_the_order_of_a_fresh_spec(self):
+        rng = random.Random(5)
+        with_dead = 0
+        for _ in range(200):
+            dag = random_dag(rng, max_nodes=14)
+            # Shuffled labels, so the name order is not a topological order.
+            labels = [f"v{i:02d}" for i in range(len(dag))]
+            rng.shuffle(labels)
+            rename = dict(zip(dag, labels))
+            nodes = [sim_node(rename[name], parents=tuple(rename[p] for p in parents))
+                     for name, parents in dag.items()]
+            rng.shuffle(nodes)
+            outputs = tuple(rng.sample(labels, rng.randint(1, max(1, len(labels) // 3))))
+            spec = sim_spec(nodes, outputs)
+            pruned, removed = prune_dead_operators(spec)
+            fresh = WorkflowSpec(version=pruned.version, nodes=pruned.nodes,
+                                 outputs=pruned.outputs)
+            assert "order" in vars(pruned)  # seeded, not ordered again
+            assert pruned.order == fresh.order
+            with_dead += bool(removed)
+        assert with_dead >= 100
