@@ -225,6 +225,7 @@ class _Executor:
         self.costs = dict(ctx.costs)
         self.available: set[str] = set()
         self.records: dict[str, NodeRunRecord] = {}
+        self.lost: dict[str, str] = {}  # node -> why its load failed
         # A computed node joins once its cost is final, with every ancestor
         # not in yet; a node with no computed descendant never joins.
         self.chains = RecomputeChains(ctx.spec.parent_map())
@@ -237,7 +238,8 @@ class _Executor:
     def _stub_payload(self, node: OperatorNode) -> bytes:
         return f"simulated:{node.name}:{self.ctx.signatures[node.name]}\n".encode()
 
-    def run_load(self, node: OperatorNode, rec: NodeRunRecord) -> None:
+    def run_load(self, node: OperatorNode, rec: NodeRunRecord) -> bool:
+        """Restore ``node`` from the cache; False when its entry is broken."""
         sig = self.ctx.signatures[node.name]
         try:
             if self.simulated:
@@ -251,17 +253,13 @@ class _Executor:
                 target.write_bytes(payload)
                 observed = time.monotonic() - started
         except CacheError as exc:
-            if all(p in self.available for p in node.parents):
-                rec.state = NodeState.COMPUTE.value
-                rec.detail = f"load failed ({exc}); recomputed"
-                self.run_compute(node, rec)
-            else:
-                rec.ok = False
-                rec.detail = f"load failed: {exc}"
-            return
+            self.store.manifest.entries.pop(sig, None)
+            self.lost[node.name] = str(exc)
+            return False
         rec.wall_seconds = observed
         self.store.record_load(node.name, observed)
         self.available.add(node.name)
+        return True
 
     def _run_action(self, node: OperatorNode, rec: NodeRunRecord) -> bytes | None:
         """Run the operator; returns its output payload or None on failure."""
@@ -331,16 +329,35 @@ class _Executor:
             )
 
     def run(self) -> tuple[dict[str, NodeRunRecord], bool]:
-        for name in self.ctx.spec.order:
-            node = self.ctx.spec.node(name)
-            state = self.ctx.plan.states[name]
-            rec = NodeRunRecord(state=state.value, signature=self.ctx.signatures[name])
-            self.records[name] = rec
-            if state is NodeState.LOAD:
-                self.run_load(node, rec)
-            elif state is NodeState.COMPUTE:
-                self.run_compute(node, rec)
-        return self.records, all(r.ok for r in self.records.values())
+        """Walk the plan in order; after a failed load, re-plan and walk on."""
+        states = self.ctx.plan.states
+        while True:
+            for name in self.ctx.spec.order:
+                done = self.records.get(name)
+                if done is not None and done.state != NodeState.PRUNE.value:
+                    continue
+                node, state = self.ctx.spec.node(name), states[name]
+                rec = NodeRunRecord(state=state.value, signature=self.ctx.signatures[name])
+                if state is NodeState.LOAD and not self.run_load(node, rec):
+                    break
+                self.records[name] = rec
+                if state is NodeState.COMPUTE:
+                    if name in self.lost:
+                        rec.detail = f"load failed ({self.lost[name]}); recomputed"
+                    self.run_compute(node, rec)
+            else:
+                return self.records, all(r.ok for r in self.records.values())
+            states = self.replan()
+
+    def replan(self) -> Mapping[str, NodeState]:
+        """A plan after a failed load; nodes already run count as cached, free."""
+        done = {n for n, rec in self.records.items() if rec.state != NodeState.PRUNE.value}
+        cached = done | (self.ctx.cached - self.lost.keys())
+        costs = {n: CostRecord(c.compute_seconds, 0.0, c.output_bytes) if n in done else c
+                 for n, c in self.costs.items()}
+        return assign_states_optimal(self.ctx.spec.parent_map(), costs, cached,
+                                     self.ctx.changes.changed - cached,
+                                     set(self.ctx.spec.outputs)).states
 
 
 def execute(

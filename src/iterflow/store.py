@@ -5,6 +5,7 @@ Layout under the cache root:
     objects/<first two hex chars>/<signature>.bin   payload files
     manifest.json                                   index + cross-run state
     manifest.journal                                entries put since manifest.json
+    tmp/                                            writes in flight
     runs.log                                        one JSON report per line
     .lock                                           advisory writer lock
 
@@ -14,13 +15,17 @@ per-node cost history used for planning estimates.  The store keeps those
 costs but measures none of them: the executor reports every compute and
 load duration through record_costs() and record_load().
 
-A put makes its payload durable (write temp, fsync, rename, fsync the
-directory) and only then appends one line to the journal and fsyncs it, so
-no entry ever references a payload that is not already durable.  A payload
-that became durable right before a crash is merely an orphan file; the next
-writer sweeps it away when it opens the store.  Readers replay the journal
-over manifest.json; closing a writable store compacts both into a fresh
-manifest.json and removes the journal.
+A put writes its payload under tmp/, fsyncs it, renames it into objects/
+and fsyncs every directory that changed; only then does it append one line
+to the journal and fsync it, so no entry ever references a payload that was
+not already durable.  A crash can thus leave three things, each with one
+handler: files in tmp/, which the next writable open deletes; a torn last
+journal line, which readers ignore and the next writable open cuts off; and
+payloads no entry references, which gc() deletes.  gc() is also the one full
+check of every entry; a payload damaged later fails its get(), and the
+executor then forgets the entry and plans again.  Readers replay the
+journal over manifest.json; closing a writable store compacts both into a
+fresh manifest.json and removes the journal.
 
 One writer at a time per cache root, enforced with flock on ``.lock``;
 read-only opens take no lock and never modify anything.
@@ -204,12 +209,12 @@ def load_manifest(cache_root: Path | str) -> CacheManifest:
 
 
 def save_manifest(cache_root: Path | str, manifest: CacheManifest) -> None:
-    """Atomically and durably replace the manifest (write temp, fsync,
-    rename, fsync the directory)."""
+    """Atomically and durably replace the manifest (write a temp file in
+    tmp/, fsync, rename, fsync the directory)."""
     root = Path(cache_root)
-    root.mkdir(parents=True, exist_ok=True)
+    (root / "tmp").mkdir(parents=True, exist_ok=True)
     path = _manifest_path(root)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
+    tmp = root / "tmp" / f"{path.name}.{os.getpid()}"
     payload = json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(payload)
@@ -222,11 +227,11 @@ def save_manifest(cache_root: Path | str, manifest: CacheManifest) -> None:
 class CacheStore:
     """Handle on one cache root.
 
-    Writable stores hold the advisory lock for their whole lifetime and
-    sweep inconsistencies left by earlier crashes when they open.  Use as a
-    context manager or call close().  Each put appends its entry to the
-    journal; save(), called by close(), writes the whole manifest and
-    removes the journal.
+    Writable stores hold the advisory lock for their whole lifetime.  When
+    one opens, it cuts a torn journal tail and empties tmp/; neither costs
+    more on a larger cache.  Use as a context manager or call close().
+    Each put appends its entry to the journal; save(), called by close(),
+    writes the whole manifest and removes the journal.
 
     ``fault_hook`` is a test seam: when set, it is invoked with a stage
     label at every write boundary inside put(), letting crash tests abort
@@ -243,8 +248,8 @@ class CacheStore:
             self._acquire_lock()
         try:
             self.manifest = load_manifest(self.root)
-            # Broken entries the open dropped, reported once by gc().
-            self._dropped = self.recover() if writable else []
+            if writable:
+                self._clear_crash_leftovers()
         except BaseException:
             self._release_lock()
             raise
@@ -293,17 +298,9 @@ class CacheStore:
         save_manifest(self.root, self.manifest)
         _journal_path(self.root).unlink(missing_ok=True)
 
-    # -- consistency ---------------------------------------------------
-
-    def recover(self) -> list[str]:
-        """Cut a torn journal tail; drop stale temp files, orphan payloads
-        and broken entries.
-
-        Returns the signatures of entries that had to be removed.  Called
-        automatically when a writable store opens, so a crash mid-put never
-        leaves the store referencing missing or partial data.
-        """
-        objects = self.root / "objects"
+    def _clear_crash_leftovers(self) -> None:
+        """Cut a torn journal tail and delete what tmp/ holds.  Under the
+        writer lock nothing in tmp/ belongs to a live write."""
         journal = _journal_path(self.root)
         if journal.is_file():
             _, good = _read_journal(self.root)
@@ -311,27 +308,11 @@ class CacheStore:
             if torn:
                 logger.warning("cutting a torn record (%d bytes) off %s", torn, journal)
                 os.truncate(journal, good)
-        removed: list[str] = []
-        for sig, entry in list(self.manifest.entries.items()):
-            path = self.root / entry.payload_path
-            if not path.is_file() or path.stat().st_size != entry.output_bytes:
-                logger.warning("dropping broken cache entry %s (%s)", sig, entry.node_name)
-                self.manifest.entries.pop(sig)
-                removed.append(sig)
-                path.unlink(missing_ok=True)
-        referenced = {self.root / e.payload_path for e in self.manifest.entries.values()}
-        if objects.is_dir():
-            for path in sorted(objects.glob("*/*")):
-                if path not in referenced:
-                    logger.info("sweeping orphan payload %s", path.name)
-                    path.unlink()
-        # Under the writer lock no live writer owns a manifest temp file.
-        for path in sorted(self.root.glob("manifest.tmp.*")):
-            logger.info("sweeping stale manifest temp file %s", path.name)
+        tmp = self.root / "tmp"
+        tmp.mkdir(exist_ok=True)
+        for path in tmp.iterdir():
+            logger.info("deleting %s, left by an interrupted write", path.name)
             path.unlink()
-        if removed:
-            self.save()
-        return removed
 
     # -- data plane ----------------------------------------------------
 
@@ -357,9 +338,14 @@ class CacheStore:
             return existing
 
         final = self._payload_path(signature)
-        final.parent.mkdir(parents=True, exist_ok=True)
+        for directory in (final.parent.parent, final.parent):
+            try:
+                directory.mkdir()
+            except FileExistsError:
+                continue
+            _fsync_dir(directory.parent)  # the new name must survive a power cut
         self._checkpoint("objects-dir-created")
-        tmp = final.with_name(final.name + f".tmp.{os.getpid()}")
+        tmp = self.root / "tmp" / final.name
         with open(tmp, "wb") as fh:
             self._checkpoint("tmp-file-opened")
             half = len(payload) // 2
@@ -452,19 +438,25 @@ class CacheStore:
             yield self.manifest.entries[sig]
 
     def gc(self, keep_latest: bool = False) -> list[str]:
-        """Report the broken entries this store dropped when it opened; with
-        ``keep_latest``, also drop every entry not referenced by the last
-        successful run.  Orphan payloads were swept at open as well."""
+        """Drop every entry whose payload is missing or has the wrong size
+        and, with ``keep_latest``, every entry the last successful run did not
+        use; then delete unreferenced files under objects/ and old-style
+        manifest temp files.  Returns the dropped signatures."""
         assert self.writable, "read-only store"
-        removed, self._dropped = self._dropped, []
-        if keep_latest:
-            latest = set(self.manifest.previous_signatures.values())
-            dropped = [self.manifest.entries.pop(sig)
-                       for sig in sorted(set(self.manifest.entries) - latest)]
-            # Entries first, payloads second: a crash in between leaves
-            # orphans, which the next writable open sweeps.
-            self.save()
-            for entry in dropped:
-                (self.root / entry.payload_path).unlink(missing_ok=True)
-                removed.append(entry.signature)
+        latest = set(self.manifest.previous_signatures.values())
+        removed = []
+        for sig, entry in sorted(self.manifest.entries.items()):
+            path = self.root / entry.payload_path
+            intact = path.is_file() and path.stat().st_size == entry.output_bytes
+            if not intact or (keep_latest and sig not in latest):
+                del self.manifest.entries[sig]
+                removed.append(sig)
+        # Entries first, payloads second: a crash in between leaves only
+        # unreferenced files, which the next gc deletes.
+        self.save()
+        referenced = {self.root / e.payload_path for e in self.manifest.entries.values()}
+        files = [*(self.root / "objects").glob("*/*"), *self.root.glob("manifest.tmp.*")]
+        for path in files:
+            if path not in referenced:
+                path.unlink()
         return removed

@@ -1,12 +1,19 @@
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from iterflow import runner
 from iterflow.errors import CacheLockedError, InvalidConfigError
-from iterflow.planner import _MICROS, ExecutionPlan, NodeState, _micros
+from iterflow.planner import (
+    _MICROS,
+    ExecutionPlan,
+    NodeState,
+    _micros,
+    check_plan_legality,
+)
 from iterflow.runner import (
     CLOCK_SIMULATED,
     PlanContext,
@@ -23,6 +30,7 @@ from iterflow.workflow import parse_workflow, serialize_workflow
 
 from conftest import (
     chain_spec,
+    random_spec,
     recompute_chain_micros,
     sim_node,
     sim_spec,
@@ -423,15 +431,14 @@ class TestRealCommands:
         assert report.nodes["raw"].state == "compute"
         assert (ws / "out" / "upper.txt").read_bytes() == b"ABC\n"
 
-    def test_load_failure_with_unavailable_parents_aborts_the_chain(
-        self, env, monkeypatch
-    ):
+    def test_load_failure_below_a_pruned_parent_replans(self, env, monkeypatch):
         ws, cache = env
         (ws / "data").mkdir()
         (ws / "data" / "in.txt").write_text("abc\n")
         path = ws / "workflow.json"
         path.write_text(command_spec_text())
         run_iteration(path, ws, cache, RunConfig())
+        (ws / "out" / "upper.txt").unlink()
 
         from iterflow.errors import CorruptEntryError
 
@@ -440,10 +447,59 @@ class TestRealCommands:
 
         monkeypatch.setattr(CacheStore, "get", broken_get)
         report = run_iteration(path, ws, cache, RunConfig())
-        # warm plan prunes raw; with the load broken there is no way out
-        assert not report.succeeded
-        assert not report.nodes["upper"].ok
-        assert "load failed" in report.nodes["upper"].detail
+        # The warm plan loads upper and prunes raw.  Upper's load fails, so
+        # the next plan loads raw; that fails too, and the last plan
+        # computes both.  The store forgets both entries.
+        assert report.succeeded, report.failed_nodes
+        assert {n: r.state for n, r in report.nodes.items()} == {
+            "raw": "compute", "upper": "compute"}
+        assert all("recomputed" in r.detail for r in report.nodes.values())
+        assert (ws / "out" / "upper.txt").read_bytes() == b"ABC\n"
+        assert load_manifest(cache).entries == {}
+
+
+def test_broken_payloads_replan_and_are_forgotten(tmp_path):
+    """A cold run, then the payloads of a random subset of the entries the
+    next run plans to load are deleted or truncated.  That run must still
+    succeed with a legal plan and forget every broken entry, so a third run
+    carries out its plan with no failed load.  Broken entries no run loads
+    are left to ``cache gc``."""
+    rng = random.Random(16)
+    broke_any = 0
+    for case in range(100):
+        spec = random_spec(rng)
+        ws, cache = tmp_path / f"ws{case}", tmp_path / f"cache{case}"
+        ws.mkdir()
+        path = deploy(spec, ws)
+        run_iteration(path, ws, cache, sim_config())
+
+        manifest = load_manifest(cache)
+        ctx = prepare(path.read_text(), ws, manifest, sim_config())
+        broken = {ctx.signatures[name] for name, state in ctx.plan.states.items()
+                  if state is NodeState.LOAD and rng.random() < 0.5}
+        for signature in broken:
+            payload = cache / manifest.entries[signature].payload_path
+            if rng.random() < 0.5:
+                payload.unlink()
+            else:
+                payload.write_bytes(payload.read_bytes()[:-1])
+        broke_any += bool(broken)
+
+        report = run_iteration(path, ws, cache, sim_config())
+        assert report.succeeded, (case, report.failed_nodes)
+        survived = {name for name, signature in ctx.signatures.items()
+                    if signature in manifest.entries and signature not in broken}
+        states = {name: NodeState(rec.state) for name, rec in report.nodes.items()}
+        assert check_plan_legality(ctx.spec.parent_map(), survived, ctx.mandatory,
+                                   ctx.spec.outputs, states) == [], case
+        assert not broken & set(load_manifest(cache).entries), case
+
+        third = prepare(path.read_text(), ws, load_manifest(cache), sim_config())
+        report = run_iteration(path, ws, cache, sim_config())
+        assert report.succeeded, case
+        assert {name: rec.state for name, rec in report.nodes.items()} == {
+            name: state.value for name, state in third.plan.states.items()}, case
+    assert broke_any >= 30
 
 
 def test_policy_decision_precedes_downstream_execution(tmp_path, monkeypatch):

@@ -134,23 +134,31 @@ class TestLocking:
 
 
 class TestRecovery:
-    def test_orphan_payload_swept_on_open(self, root):
+    def test_orphan_payload_swept_by_gc(self, root):
         with CacheStore(root) as store:
             store.put("node", SIG_A, b"keep", 1.0)
         orphan = root / "objects" / SIG_B[:2] / f"{SIG_B}.bin"
         orphan.parent.mkdir(parents=True, exist_ok=True)
         orphan.write_bytes(b"zombie")
+        # temp files as older versions named them
+        old_temps = [root / "objects" / SIG_A[:2] / f"{SIG_A}.bin.tmp.999999",
+                     root / "manifest.tmp.999999"]
+        for path in old_temps:
+            path.write_bytes(b"half")
         with CacheStore(root):
             pass
-        assert not orphan.exists()
-        verify_consistent(root)
+        assert all(path.exists() for path in [orphan, *old_temps])
+        with CacheStore(root) as store:
+            assert store.gc() == []
+        assert not any(path.exists() for path in [orphan, *old_temps])
+        assert set(verify_consistent(root).entries) == {SIG_A}
 
     def test_stale_manifest_temp_swept_on_writable_open(self, root):
         # A writer that died between writing and renaming its manifest temp
         # file; its pid differs from ours, so no later save reuses the name.
         with CacheStore(root) as store:
             store.put("node", SIG_A, b"keep", 1.0)
-        stale = root / "manifest.tmp.999999"
+        stale = root / "tmp" / "manifest.json.999999"
         stale.write_text("{}")
         CacheStore(root, writable=False)
         assert stale.exists()
@@ -162,10 +170,14 @@ class TestRecovery:
     def test_truncated_payload_drops_entry(self, root):
         with CacheStore(root) as store:
             entry = store.put("node", SIG_A, b"12345678", 1.0)
-        (root / entry.payload_path).write_bytes(b"123")
+            store.put("node", SIG_B, b"intact", 1.0)
+        payload = root / entry.payload_path
+        payload.write_bytes(b"123")
         with CacheStore(root) as store:
-            assert SIG_A not in store.manifest.entries
-        verify_consistent(root)
+            assert SIG_A in store.manifest.entries  # the open checks no payload
+            assert store.gc() == [SIG_A]
+        assert not payload.exists()
+        assert set(verify_consistent(root).entries) == {SIG_B}
 
     def test_gc_keep_latest_drops_unreferenced(self, root):
         with CacheStore(root) as store:
@@ -220,6 +232,7 @@ def test_crash_at_every_write_boundary_leaves_store_consistent(tmp_path, target)
     store._lock_fd = None
 
     with CacheStore(root) as reopened:
+        assert list((root / "tmp").iterdir()) == []
         manifest = verify_consistent(root)
         # the pre-existing entry must have survived every crash point
         assert SIG_B in manifest.entries
@@ -227,6 +240,26 @@ def test_crash_at_every_write_boundary_leaves_store_consistent(tmp_path, target)
     objects = root / "objects"
     leftovers = [p for p in objects.rglob("*.tmp.*")] if objects.is_dir() else []
     assert leftovers == []
+
+
+def test_put_makes_new_directories_durable_before_its_journal_line(root, monkeypatch):
+    events = []
+    fsync_dir, append = store_module._fsync_dir, CacheStore._append_journal
+    monkeypatch.setattr(store_module, "_fsync_dir",
+                        lambda path: (events.append(path), fsync_dir(path)))
+    monkeypatch.setattr(CacheStore, "_append_journal",
+                        lambda self, entry: (events.append("journal"), append(self, entry)))
+    objects = root / "objects"
+    with CacheStore(root) as store:
+        # makes objects/ and objects/aa/, and starts the journal
+        store.put("node", SIG_A, b"x", 1.0)
+        assert events == [root, objects, objects / "aa", "journal", root]
+        events.clear()
+        store.put("node", "aa" + SIG_B[2:], b"y", 1.0)
+        assert events == [objects / "aa", "journal"]
+        events.clear()
+        store.put("node", SIG_B, b"z", 1.0)  # makes objects/bb/
+        assert events == [objects, objects / "bb", "journal"]
 
 
 def sig(i: int) -> str:
@@ -271,6 +304,36 @@ class TestJournal:
             appended.append(self.journal(cache).stat().st_size)
             kill(store)
         assert appended[0] == appended[1]
+
+    def test_writable_open_does_not_grow_with_the_cache(self, root, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(Path, name)
+
+            def call(self, *args, **kwargs):
+                calls.append(name)
+                return original(self, *args, **kwargs)
+            return call
+
+        for name in ("stat", "is_file", "glob", "iterdir"):
+            monkeypatch.setattr(Path, name, counted(name))
+        counts = []
+        for size in (10, 1000):
+            cache = root / str(size)
+            manifest = CacheManifest()
+            for i in range(size):
+                path = f"objects/{sig(i)[:2]}/{sig(i)}.bin"
+                (cache / path).parent.mkdir(parents=True, exist_ok=True)
+                (cache / path).write_bytes(b"p")
+                manifest.entries[sig(i)] = CacheEntry(sig(i), "node", path, 1, 1.0, 1)
+            save_manifest(cache, manifest)
+            calls.clear()
+            store = CacheStore(cache)
+            counts.append(sorted(calls))
+            assert len(store.manifest.entries) == size
+            kill(store)
+        assert counts[0] == counts[1]
 
     def test_torn_tail_is_ignored_by_readers_and_cut_by_writers(self, root):
         store = CacheStore(root)
