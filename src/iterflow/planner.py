@@ -15,16 +15,25 @@ load times over loaded nodes (pruned nodes are free).
 
 ``assign_states_optimal`` finds the exact optimum through a reduction to
 minimum s-t cut (a project-selection style construction, solved with
-Dinic's algorithm).  ``assign_states_bruteforce`` enumerates every legal
-assignment and exists purely as an independent oracle; the two must agree
-on every instance small enough to enumerate.
+Dinic's algorithm).  A presolve, linear in the DAG, first fixes what needs
+no flow: mandatory nodes, uncached sinks and every uncached parent of a
+computing node compute in every legal plan; a cached, non-mandatory node
+whose compute costs no less than its load never computes in the
+tie-broken optimum; a node that is neither needed nor an ancestor of a
+needed node through nodes that may compute is pruned.  Only the rest goes
+into the flow network, so a cold plan builds none.
+``assign_states_bruteforce`` enumerates every legal assignment and exists
+purely as an independent oracle; the two must agree on every instance
+small enough to enumerate.
 
 Costs are handled as integer microseconds throughout so that oracle
 comparisons are exact.  Ties are broken deterministically: of all optimal
 plans, the planner returns the one that is least state by state under
 prune < load < compute.  Such a plan always exists, and it is also the one
 with the fewest computed nodes and the lexicographically smallest state
-vector in node-name order, which is the rule the oracle applies.
+vector in node-name order, which is the rule the oracle applies.  Every
+presolved state is the one that plan has, and the plan is read from the
+minimal minimum cut of the residual network, so the presolve keeps it.
 """
 
 from __future__ import annotations
@@ -224,6 +233,111 @@ def _finish_plan(
                          total_cost_micros=total)
 
 
+@dataclass
+class _Presolve:
+    """What the linear-time presolve decides before any flow is pushed."""
+
+    fixed: dict[str, NodeState]  # states shared with the tie-broken optimum
+    residual: list[str]  # nodes left to the min-cut, in name order
+    never_compute: set[str]  # residual nodes that load or prune, never compute
+    needed: set[str]  # residual nodes whose output every legal plan needs
+
+
+def _presolve(
+    names: list[str],
+    dag: Dag,
+    costs: Mapping[str, CostRecord],
+    cached: AbstractSet[str],
+    mandatory: set[str],
+    sinks: set[str],
+) -> _Presolve:
+    """Fix, in time linear in the DAG, every state that needs no flow.
+
+    Mandatory nodes and uncached sinks compute in every legal plan, and so
+    does every uncached parent of a computing node.  Every other parent of
+    such a node, like every sink, is needed: it loads or computes.  A
+    cached, non-mandatory node that computes no cheaper than it loads never
+    computes in the tie-broken optimum: turning compute into load keeps a
+    plan legal, costs no more, and makes it state by state smaller.  It
+    loads when needed and is otherwise left to the min-cut as load or prune.
+    Finally, a node that is neither needed nor an ancestor of a needed node
+    through nodes that may compute is unreachable from the source of the
+    residual network, so it is pruned.
+    """
+    fixed: dict[str, NodeState] = {}
+    stack = [*mandatory, *(name for name in sinks if name not in cached)]
+    while stack:
+        name = stack.pop()
+        if name not in fixed:
+            fixed[name] = NodeState.COMPUTE
+            stack.extend(p for p in dag[name] if p not in cached)
+    needed = set(sinks)
+    for name in fixed:
+        needed.update(dag[name])
+    needed.difference_update(fixed)  # what is left is cached
+
+    never_compute = {
+        name for name in names
+        if name in cached and name not in fixed
+        and _micros(costs[name].compute_seconds) >= _micros(costs[name].load_seconds)
+    }
+    for name in needed & never_compute:
+        fixed[name] = NodeState.LOAD
+
+    residual: set[str] = set()
+    stack = [name for name in needed if name not in fixed]
+    while stack:
+        name = stack.pop()
+        if name not in residual and name not in fixed:
+            residual.add(name)
+            if name not in never_compute:
+                stack.extend(dag[name])
+    for name in names:
+        if name not in fixed and name not in residual:
+            fixed[name] = NodeState.PRUNE
+    return _Presolve(fixed, [name for name in names if name in residual],
+                     never_compute & residual, needed & residual)
+
+
+def _solve_residual(
+    dag: Dag,
+    costs: Mapping[str, CostRecord],
+    cached: AbstractSet[str],
+    pre: _Presolve,
+) -> dict[str, NodeState]:
+    """States of the residual nodes, read from the minimal minimum cut."""
+    nodes = pre.residual
+    n = len(nodes)
+    index = {name: i for i, name in enumerate(nodes)}
+    compute_cap = {name: _micros(costs[name].compute_seconds) for name in nodes
+                   if name not in pre.never_compute}
+    load_cap = {name: _micros(costs[name].load_seconds) for name in nodes if name in cached}
+    uncuttable = sum(compute_cap.values()) + sum(load_cap.values()) + 1
+
+    source, sink = 2 * n, 2 * n + 1
+    net = _FlowNetwork(2 * n + 2)
+    for i, name in enumerate(nodes):
+        v_i, a_i = i, n + i
+        if name in pre.never_compute:  # v_i is fixed on the T side
+            net.add_edge(a_i, sink, load_cap[name])
+            continue
+        net.add_edge(v_i, sink, compute_cap[name])
+        net.add_edge(a_i, v_i, load_cap.get(name, uncuttable))
+        for parent in dag[name]:
+            if parent in index:  # a fixed parent is needed already
+                net.add_edge(v_i, n + index[parent], uncuttable)
+        if name in pre.needed:
+            net.add_edge(source, a_i, uncuttable)
+
+    on_source_side = net.min_cut_source_side(source, sink)
+    return {
+        name: NodeState.COMPUTE if on_source_side[i]
+        else NodeState.LOAD if on_source_side[n + i]
+        else NodeState.PRUNE
+        for i, name in enumerate(nodes)
+    }
+
+
 def assign_states_optimal(
     dag: Dag,
     costs: Mapping[str, CostRecord],
@@ -231,7 +345,8 @@ def assign_states_optimal(
     mandatory: Iterable[str] = (),
     sinks: Iterable[str] = (),
 ) -> ExecutionPlan:
-    """Exact minimum-cost legal assignment via minimum s-t cut.
+    """Exact minimum-cost legal assignment: a linear presolve, then a
+    minimum s-t cut over the nodes it leaves open.
 
     Construction: besides source S and sink T, every node i gets two
     vertices: v_i ("i is computed" when v_i lands on the S side) and a_i
@@ -257,39 +372,27 @@ def assign_states_optimal(
     is needed), so the plan read from the minimal cut is no greater, node by
     node, than any optimal plan: it has the fewest computed nodes and is the
     lexicographically smallest, the oracle's tie-break.
+
+    Most of that network is decided before any flow is pushed (see
+    ``_presolve``): nodes forced to compute, nodes that never compute, and
+    nodes the source cannot reach.  Each fixed vertex is folded in as a
+    constant.  A computing child makes its parent's a vertex a source-side
+    constant, which is an uncuttable S -> a edge when the parent stays open.
+    A never-computing node keeps only a_i -> T with capacity l_i.  The
+    minimal minimum cut of the whole network holds every presolved value:
+    a forced state holds in every legal plan, and the v vertex of a
+    never-computing node, like both vertices of an unreachable one, lies on
+    the T side of some minimum cut, hence of the minimal one.  So the
+    minimal cut is also the least of the minimum cuts that hold the
+    presolved values, and these are exactly the minimum cuts of the residual
+    network.  Its minimal cut is therefore the global tie-break.  A cold
+    plan, where every live node is forced, builds no network at all.
     """
     names, mandatory_set, sink_set = _normalize(dag, costs, mandatory, sinks)
-    n = len(names)
-    index = {name: i for i, name in enumerate(names)}
-
-    compute_cap = [_micros(costs[name].compute_seconds) for name in names]
-    load_cap = [_micros(costs[name].load_seconds) if name in cached else None
-                for name in names]
-    uncuttable = sum(compute_cap) + sum(c for c in load_cap if c is not None) + 1
-
-    source, sink = 2 * n, 2 * n + 1
-    net = _FlowNetwork(2 * n + 2)
-    for i, name in enumerate(names):
-        v_i, a_i = i, n + i
-        net.add_edge(v_i, sink, compute_cap[i])
-        net.add_edge(a_i, v_i, load_cap[i] if load_cap[i] is not None else uncuttable)
-        for parent in dag[name]:
-            net.add_edge(v_i, n + index[parent], uncuttable)
-        if name in sink_set:
-            net.add_edge(source, a_i, uncuttable)
-        if name in mandatory_set:
-            net.add_edge(source, v_i, uncuttable)
-
-    on_compute_side = net.min_cut_source_side(source, sink)
-
-    states: dict[str, NodeState] = {}
-    for i, name in enumerate(names):
-        if on_compute_side[i]:
-            states[name] = NodeState.COMPUTE
-        elif on_compute_side[n + i]:
-            states[name] = NodeState.LOAD
-        else:
-            states[name] = NodeState.PRUNE
+    pre = _presolve(names, dag, costs, cached, mandatory_set, sink_set)
+    states = dict(pre.fixed)
+    if pre.residual:
+        states.update(_solve_residual(dag, costs, cached, pre))
     return _finish_plan(dag, costs, cached, mandatory_set, sink_set, states)
 
 

@@ -53,6 +53,9 @@ class StorageBudget:
     def charge(self, nbytes: int) -> None:
         self.used_bytes += nbytes
 
+    def release(self, nbytes: int) -> None:
+        self.used_bytes -= nbytes
+
 
 @dataclass(frozen=True)
 class MaterializationDecision:

@@ -225,7 +225,7 @@ class _Executor:
         self.costs = dict(ctx.costs)
         self.available: set[str] = set()
         self.records: dict[str, NodeRunRecord] = {}
-        self.lost: dict[str, str] = {}  # node -> why its load failed
+        self.lost: dict[str, str] = {}  # node -> why its entry was forgotten
         # A computed node joins once its cost is final, with every ancestor
         # not in yet; a node with no computed descendant never joins.
         self.chains = RecomputeChains(ctx.spec.parent_map())
@@ -253,8 +253,7 @@ class _Executor:
                 target.write_bytes(payload)
                 observed = time.monotonic() - started
         except CacheError as exc:
-            self.store.manifest.entries.pop(sig, None)
-            self.lost[node.name] = str(exc)
+            self.forget(node.name, f"load failed ({exc})")
             return False
         rec.wall_seconds = observed
         self.store.record_load(node.name, observed)
@@ -313,12 +312,12 @@ class _Executor:
         self.store.record_costs(node.name, rec.wall_seconds, cost_bytes)
         self.costs[node.name] = _node_cost(node, self.store.manifest.cost_history[node.name])
         self.chains.add(node.name, self.costs)
-        if node.name in self.ctx.cached:
+        sig = self.ctx.signatures[node.name]
+        if sig in self.store.manifest.entries:
             return  # already persisted under this signature; nothing to decide
 
         decision = self.policy.decide(node.name, self.costs, self.chains, self.budget)
         if decision.materialize:
-            sig = self.ctx.signatures[node.name]
             started = time.monotonic()
             self.store.put(node.name, sig, payload, rec.wall_seconds,
                            charged_bytes=decision.bytes_charged)
@@ -343,15 +342,30 @@ class _Executor:
                 self.records[name] = rec
                 if state is NodeState.COMPUTE:
                     if name in self.lost:
-                        rec.detail = f"load failed ({self.lost[name]}); recomputed"
+                        rec.detail = f"{self.lost[name]}; recomputed"
                     self.run_compute(node, rec)
             else:
                 return self.records, all(r.ok for r in self.records.values())
             states = self.replan()
 
+    def forget(self, name: str, why: str) -> None:
+        """Drop ``name``'s cache entry, and its charge against the budget."""
+        entry = self.store.manifest.entries.pop(self.ctx.signatures[name], None)
+        if entry is not None:
+            self.budget.release(entry.charged_bytes)
+        self.lost[name] = why
+
     def replan(self) -> Mapping[str, NodeState]:
-        """A plan after a failed load; nodes already run count as cached, free."""
+        """A plan after a failed load; nodes already run count as cached, free.
+
+        Every other cached node not yet run whose payload is missing or has
+        the wrong size is forgotten first, so that one re-plan covers them.
+        """
         done = {n for n, rec in self.records.items() if rec.state != NodeState.PRUNE.value}
+        for name in self.ctx.cached - done - self.lost.keys():
+            entry = self.store.manifest.entries.get(self.ctx.signatures[name])
+            if entry is not None and not self.store.intact(entry):
+                self.forget(name, "payload missing or of the wrong size")
         cached = done | (self.ctx.cached - self.lost.keys())
         costs = {n: CostRecord(c.compute_seconds, 0.0, c.output_bytes) if n in done else c
                  for n, c in self.costs.items()}

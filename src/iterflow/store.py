@@ -437,6 +437,11 @@ class CacheStore:
         for sig in sorted(self.manifest.entries):
             yield self.manifest.entries[sig]
 
+    def intact(self, entry: CacheEntry) -> bool:
+        """Whether ``entry``'s payload file is there with its recorded size."""
+        path = self.root / entry.payload_path
+        return path.is_file() and path.stat().st_size == entry.output_bytes
+
     def gc(self, keep_latest: bool = False) -> list[str]:
         """Drop every entry whose payload is missing or has the wrong size
         and, with ``keep_latest``, every entry the last successful run did not
@@ -446,9 +451,7 @@ class CacheStore:
         latest = set(self.manifest.previous_signatures.values())
         removed = []
         for sig, entry in sorted(self.manifest.entries.items()):
-            path = self.root / entry.payload_path
-            intact = path.is_file() and path.stat().st_size == entry.output_bytes
-            if not intact or (keep_latest and sig not in latest):
+            if not self.intact(entry) or (keep_latest and sig not in latest):
                 del self.manifest.entries[sig]
                 removed.append(sig)
         # Entries first, payloads second: a crash in between leaves only

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iterflow import planner
 from iterflow.errors import TooLargeError
 from iterflow.planner import (
     CostRecord,
@@ -13,10 +14,11 @@ from iterflow.planner import (
     assign_states_optimal,
     check_plan_legality,
     _FlowNetwork,
+    _presolve,
     plan_cost,
 )
 
-from conftest import random_dag, random_planning_instance
+from conftest import ancestors, random_dag, random_planning_instance
 
 C, L, P = NodeState.COMPUTE, NodeState.LOAD, NodeState.PRUNE
 RANK = {P: 0, L: 1, C: 2}
@@ -267,3 +269,54 @@ class TestTieBreak:
         assert check_plan_legality(dag, cached, mandatory, sinks, plan.states) == []
         assert len(capacities) > len(dag)
         assert max(capacities) < 2**63
+
+
+def refuse_network(*args, **kwargs):
+    raise AssertionError("a flow network was built")
+
+
+class TestPresolve:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31), tie_dense=st.booleans())
+    def test_presolved_states_agree_with_the_oracle(self, seed, tie_dense):
+        rng = random.Random(seed)
+        instance = (tie_dense_instance(rng, max_nodes=9) if tie_dense
+                    else random_planning_instance(rng, max_nodes=10))
+        dag, costs, cached, mandatory, sinks = instance
+        oracle = assign_states_bruteforce(*instance).states
+        pre = _presolve(sorted(dag), dag, costs, cached, set(mandatory), set(sinks))
+        assert {name: oracle[name] for name in pre.fixed} == pre.fixed
+        assert all(oracle[name] is not C for name in pre.never_compute)
+        assert set(pre.fixed).isdisjoint(pre.residual)
+        assert set(pre.fixed) | set(pre.residual) == set(dag)
+
+    def test_cold_plan_of_a_deep_dag_builds_no_network(self, monkeypatch):
+        # 10k nodes, 8 a layer, each with 3 parents from the 3 layers above.
+        rng = random.Random(19)
+        layers = [[f"l{d:04d}_{k}" for k in range(8)] for d in range(1250)]
+        dag = {}
+        for d, layer in enumerate(layers):
+            above = [p for upper in layers[max(0, d - 3):d] for p in upper]
+            for name in layer:
+                dag[name] = tuple(rng.sample(above, min(3, len(above))))
+        costs = {name: CostRecord(rng.randint(1, 10**4) / 100, rng.randint(1, 10**4) / 100)
+                 for name in dag}
+        sinks = set(layers[-1])
+        monkeypatch.setattr(planner, "_FlowNetwork", refuse_network)
+
+        # A cold run: nothing cached, every node changed.
+        plan = assign_states_optimal(dag, costs, set(), mandatory=set(dag), sinks=sinks)
+        assert set(plan.states.values()) == {C}
+        # Only the sinks forced: their ancestors compute, the rest prune.
+        plan = assign_states_optimal(dag, costs, set(), sinks=sinks)
+        needed = sinks.union(*(ancestors(dag, name) for name in sinks))
+        assert {name for name, state in plan.states.items() if state is C} == needed
+        assert {name for name, state in plan.states.items() if state is P} == set(dag) - needed
+
+    def test_an_open_choice_builds_a_network(self, monkeypatch):
+        # b computes cheaper than it loads, so the presolve leaves b open.
+        monkeypatch.setattr(planner, "_FlowNetwork", refuse_network)
+        dag = {"a": (), "b": ("a",), "c": ("b",)}
+        costs = {"a": CostRecord(1.0, 0.0), "b": CostRecord(1.0, 5.0), "c": CostRecord(1.0, 0.0)}
+        with pytest.raises(AssertionError, match="flow network"):
+            assign_states_optimal(dag, costs, {"b"}, sinks={"c"})

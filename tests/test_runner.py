@@ -446,24 +446,75 @@ class TestRealCommands:
             raise CorruptEntryError(signature, "flaky disk")
 
         monkeypatch.setattr(CacheStore, "get", broken_get)
+        before = load_manifest(cache).entries
         report = run_iteration(path, ws, cache, RunConfig())
         # The warm plan loads upper and prunes raw.  Upper's load fails, so
         # the next plan loads raw; that fails too, and the last plan
-        # computes both.  The store forgets both entries.
+        # computes both.  The store forgets both entries, so both recomputed
+        # outputs reach the policy and are persisted again.
         assert report.succeeded, report.failed_nodes
         assert {n: r.state for n, r in report.nodes.items()} == {
             "raw": "compute", "upper": "compute"}
         assert all("recomputed" in r.detail for r in report.nodes.values())
+        assert all(r.materialized for r in report.nodes.values())
         assert (ws / "out" / "upper.txt").read_bytes() == b"ABC\n"
-        assert load_manifest(cache).entries == {}
+        assert set(load_manifest(cache).entries) == set(before)
+
+        monkeypatch.undo()
+        (ws / "out" / "upper.txt").unlink()
+        report = run_iteration(path, ws, cache, RunConfig())
+        assert report.succeeded, report.failed_nodes
+        assert {n: r.state for n, r in report.nodes.items()} == {
+            "raw": "prune", "upper": "load"}
+        assert (ws / "out" / "upper.txt").read_bytes() == b"ABC\n"
+
+
+def test_losing_every_payload_costs_one_replan(env, monkeypatch):
+    """With every payload of a warm cache deleted, the first failed load
+    forgets all the broken entries, so the run plans twice in all.  The
+    recomputed outputs are persisted again within the same budget, which
+    the forgotten entries no longer hold."""
+    ws, cache = env
+    spec = sim_spec([sim_node("a"), sim_node("b", ("a",)), sim_node("c", ("b",)),
+                     sim_node("d", ("a",)), sim_node("e", ("d",))], outputs=("c", "e"))
+    path = deploy(spec, ws)
+    config = sim_config(budget_bytes=5 * 1000)
+    run_iteration(path, ws, cache, config)
+    entries = load_manifest(cache).entries
+    assert len(entries) == 5
+    for entry in entries.values():
+        (cache / entry.payload_path).unlink()
+
+    plans = []
+    plan = runner.assign_states_optimal
+
+    def counting_plan(*args, **kwargs):
+        plans.append(args)
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "assign_states_optimal", counting_plan)
+    report = run_iteration(path, ws, cache, config)
+    assert report.succeeded, report.failed_nodes
+    assert len(plans) == 2
+    assert {n: r.state for n, r in report.nodes.items()} == dict.fromkeys("abcde", "compute")
+    assert all(r.materialized for r in report.nodes.values())
+    with CacheStore(cache, writable=False) as store:
+        assert set(store.manifest.entries) == set(entries)
+        assert all(store.intact(entry) for entry in store.entries())
+
+    plans.clear()
+    report = run_iteration(path, ws, cache, config)
+    assert len(plans) == 1
+    assert {n: r.state for n, r in report.nodes.items() if r.state != "prune"} == {
+        "c": "load", "e": "load"}
 
 
 def test_broken_payloads_replan_and_are_forgotten(tmp_path):
     """A cold run, then the payloads of a random subset of the entries the
     next run plans to load are deleted or truncated.  That run must still
-    succeed with a legal plan and forget every broken entry, so a third run
-    carries out its plan with no failed load.  Broken entries no run loads
-    are left to ``cache gc``."""
+    succeed with a legal plan and forget every broken entry; an entry comes
+    back only when the run recomputes and persists it afresh.  So a third
+    run carries out its plan with no failed load."""
     rng = random.Random(16)
     broke_any = 0
     for case in range(100):
@@ -492,7 +543,9 @@ def test_broken_payloads_replan_and_are_forgotten(tmp_path):
         states = {name: NodeState(rec.state) for name, rec in report.nodes.items()}
         assert check_plan_legality(ctx.spec.parent_map(), survived, ctx.mandatory,
                                    ctx.spec.outputs, states) == [], case
-        assert not broken & set(load_manifest(cache).entries), case
+        with CacheStore(cache, writable=False) as store:
+            assert all(store.intact(store.manifest.entries[signature])
+                       for signature in broken & set(store.manifest.entries)), case
 
         third = prepare(path.read_text(), ws, load_manifest(cache), sim_config())
         report = run_iteration(path, ws, cache, sim_config())
@@ -602,8 +655,8 @@ class TestRecomputeChainsInRuns:
         assert states == {"a": "prune", "b": "load", "c": "compute",
                           "d": "compute", "e": "compute"}
         assert "recomputed" in report.nodes["c"].detail
-        # c's signature is already cached, so only d and e are decided.
-        assert set(decided) == {"d", "e"}
+        # c's entry was forgotten when its load failed, so c is decided too.
+        assert set(decided) == {"c", "d", "e"}
         for node, (r, costs) in decided.items():
             oracle = recompute_chain_micros(node, costs, parents)
             assert r == (oracle - 2 * _micros(costs[node].load_seconds)) / _MICROS
