@@ -44,19 +44,18 @@ def compute_signatures(spec: WorkflowSpec, workspace: Path | str) -> dict[str, s
     Raises MissingSourceError if a declared source file does not exist.
     """
     workspace = Path(workspace)
+    by_name = spec.by_name
+    digests: dict[str, bytes] = {}
     signatures: dict[str, str] = {}
     for name in spec.order:
-        node = spec.node(name)
-        hasher = hashlib.sha256()
-        hasher.update(b"def\x00")
-        hasher.update(node.definition_text().encode("utf-8"))
+        node = by_name[name]
+        parts = [b"def\x00", node.definition_text().encode("utf-8")]
         for source in node.sources:
-            hasher.update(b"\x00src\x00")
-            hasher.update(_file_digest(workspace / source))
+            parts += (b"\x00src\x00", _file_digest(workspace / source))
         for parent in node.parents:
-            hasher.update(b"\x00parent\x00")
-            hasher.update(bytes.fromhex(signatures[parent]))
-        signatures[name] = hasher.hexdigest()
+            parts += (b"\x00parent\x00", digests[parent])
+        digest = digests[name] = hashlib.sha256(b"".join(parts)).digest()
+        signatures[name] = digest.hex()
     return signatures
 
 

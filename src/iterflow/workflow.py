@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import heapq
 import json
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Mapping
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Any, Mapping, NoReturn
 
 from .errors import (
     CycleDetectedError,
@@ -31,6 +33,18 @@ KIND_ML = "ml"
 KIND_EVALUATION = "evaluation"
 KINDS = (KIND_PREPROCESSING, KIND_ML, KIND_EVALUATION)
 
+_MAX_FLOAT = sys.float_info.max
+
+
+def _json_strs(items) -> str:
+    return "[" + ",".join(map(_json_str, items)) + "]"
+
+
+def _json_number(value) -> str:
+    if type(value) is int or (type(value) is float and -_MAX_FLOAT <= value <= _MAX_FLOAT):
+        return repr(value)
+    return json.dumps(value)  # bool, NaN, infinities, subclasses
+
 
 @dataclass(frozen=True)
 class CommandAction:
@@ -47,6 +61,11 @@ class CommandAction:
     def to_json(self) -> dict[str, Any]:
         return {"type": "command", "argv": list(self.argv), "output": self.output}
 
+    def definition_text(self) -> str:
+        """The ``action`` part of ``OperatorNode.definition_text``."""
+        return (f'{{"argv":{_json_strs(self.argv)},"output":{_json_str(self.output)},'
+                '"type":"command"}')
+
 
 @dataclass(frozen=True)
 class SimulatedAction:
@@ -61,6 +80,11 @@ class SimulatedAction:
             "compute_seconds": self.compute_seconds,
             "output_bytes": self.output_bytes,
         }
+
+    def definition_text(self) -> str:
+        """The ``action`` part of ``OperatorNode.definition_text``."""
+        return (f'{{"compute_seconds":{_json_number(self.compute_seconds)},'
+                f'"output_bytes":{_json_number(self.output_bytes)},"type":"simulated"}}')
 
 
 Action = CommandAction | SimulatedAction
@@ -106,8 +130,20 @@ class OperatorNode:
 
         This is the text whose change marks the operator as modified, so it
         must be independent of where the node appears in the spec document.
+        It is ``to_json()`` as ``json.dumps`` writes it with sorted keys,
+        compact separators and ASCII escapes, built here from string pieces
+        in that fixed key order.  Every cache entry's signature rests on
+        this text, so any byte of it that changes invalidates every cache.
         """
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        fingerprint = self.env_fingerprint
+        return "".join((
+            '{"action":', self.action.definition_text(),
+            "" if fingerprint is None else ',"env_fingerprint":' + _json_str(fingerprint),
+            ',"kind":', _json_str(self.kind),
+            ',"name":', _json_str(self.name),
+            ',"parents":', _json_strs(self.parents),
+            ',"sources":', _json_strs(self.sources), "}",
+        ))
 
 
 @dataclass(frozen=True)
@@ -171,51 +207,95 @@ class WorkflowSpec:
         }
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise WorkflowSyntaxError(message)
+_TOP_KEYS = frozenset({"version", "nodes", "outputs"})
+_NODE_KEYS = frozenset({"name", "kind", "action", "parents", "sources"})
+_NODE_KEYS_ALLOWED = _NODE_KEYS | {"env_fingerprint"}
+_COMMAND_KEYS = frozenset({"type", "argv", "output"})
+_SIMULATED_KEYS = frozenset({"type", "compute_seconds", "output_bytes"})
+
+# The checks below test exact types: json.loads makes only exact dict, list,
+# str, int, float and bool objects.  Each check formats its message only
+# when it fails, since a spec of n nodes passes about 15n of them.
 
 
-def _check_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
-    _require(isinstance(obj, dict), f"{where}: expected an object")
+def _fail(message: str) -> NoReturn:
+    raise WorkflowSyntaxError(message)
+
+
+def _fail_keys(obj: Any, required: frozenset, allowed: frozenset, where: str) -> NoReturn:
+    """Report why ``obj`` failed ``required <= obj.keys() <= allowed``."""
+    if type(obj) is not dict:
+        _fail(f"{where}: expected an object")
     missing = required - obj.keys()
-    _require(not missing, f"{where}: missing keys {sorted(missing)}")
-    unknown = obj.keys() - required - optional
-    _require(not unknown, f"{where}: unknown keys {sorted(unknown)}")
+    if missing:
+        _fail(f"{where}: missing keys {sorted(missing)}")
+    _fail(f"{where}: unknown keys {sorted(obj.keys() - allowed)}")
 
 
-def _string_list(value: Any, where: str) -> tuple[str, ...]:
-    _require(
-        isinstance(value, list) and all(isinstance(x, str) for x in value),
-        f"{where}: expected a list of strings",
-    )
+def _strings(value: Any) -> tuple[str, ...] | None:
+    """``value`` as a tuple if it is a list of strings, else None."""
+    if type(value) is not list:
+        return None
+    for item in value:
+        if type(item) is not str:
+            return None
     return tuple(value)
 
 
-def _parse_action(doc: Any, where: str) -> Action:
-    _require(isinstance(doc, dict) and isinstance(doc.get("type"), str),
-             f"{where}: action must be an object with a 'type' tag")
-    kind = doc["type"]
-    if kind == "command":
-        _require("inputs" not in doc,
-                 f"{where}.inputs: no longer supported; list watched files under "
-                 "the operator's 'sources'")
-        _check_keys(doc, {"type", "argv", "output"}, set(), where)
-        argv = _string_list(doc["argv"], f"{where}.argv")
-        _require(len(argv) > 0, f"{where}.argv: must not be empty")
-        _require(isinstance(doc["output"], str) and doc["output"],
-                 f"{where}.output: expected a non-empty path")
-        return CommandAction(argv=argv, output=doc["output"])
+def _parse_action(doc: Any, i: int) -> Action:
+    kind = doc.get("type") if type(doc) is dict else None
+    if type(kind) is not str:
+        _fail(f"nodes[{i}].action: action must be an object with a 'type' tag")
     if kind == "simulated":
-        _check_keys(doc, {"type", "compute_seconds", "output_bytes"}, set(), where)
+        if doc.keys() != _SIMULATED_KEYS:
+            _fail_keys(doc, _SIMULATED_KEYS, _SIMULATED_KEYS, f"nodes[{i}].action")
         seconds = doc["compute_seconds"]
         nbytes = doc["output_bytes"]
-        _require(isinstance(seconds, (int, float)) and not isinstance(seconds, bool)
-                 and seconds >= 0, f"{where}.compute_seconds: expected a number >= 0")
-        _require(isinstance(nbytes, int) and not isinstance(nbytes, bool)
-                 and nbytes >= 0, f"{where}.output_bytes: expected an integer >= 0")
-        return SimulatedAction(compute_seconds=float(seconds), output_bytes=nbytes)
-    raise WorkflowSyntaxError(f"{where}: unknown action type {kind!r}")
+        # NaN fails the comparison; the bound keeps float() finite.
+        if not ((type(seconds) is float or type(seconds) is int)
+                and 0 <= seconds <= _MAX_FLOAT):
+            _fail(f"nodes[{i}].action.compute_seconds: expected a number >= 0")
+        if not (type(nbytes) is int and nbytes >= 0):
+            _fail(f"nodes[{i}].action.output_bytes: expected an integer >= 0")
+        return SimulatedAction(float(seconds), nbytes)
+    if kind == "command":
+        if "inputs" in doc:
+            _fail(f"nodes[{i}].action.inputs: no longer supported; list watched files under "
+                  "the operator's 'sources'")
+        if doc.keys() != _COMMAND_KEYS:
+            _fail_keys(doc, _COMMAND_KEYS, _COMMAND_KEYS, f"nodes[{i}].action")
+        argv = _strings(doc["argv"])
+        if argv is None:
+            _fail(f"nodes[{i}].action.argv: expected a list of strings")
+        if not argv:
+            _fail(f"nodes[{i}].action.argv: must not be empty")
+        output = doc["output"]
+        if not (type(output) is str and output):
+            _fail(f"nodes[{i}].action.output: expected a non-empty path")
+        return CommandAction(argv, output)
+    _fail(f"nodes[{i}].action: unknown action type {kind!r}")
+
+
+def _parse_node(doc: Any, i: int) -> OperatorNode:
+    if not (type(doc) is dict and _NODE_KEYS <= doc.keys() <= _NODE_KEYS_ALLOWED):
+        _fail_keys(doc, _NODE_KEYS, _NODE_KEYS_ALLOWED, f"nodes[{i}]")
+    name = doc["name"]
+    if not (type(name) is str and name):
+        _fail(f"nodes[{i}].name: expected a non-empty string")
+    kind = doc["kind"]
+    if type(kind) is not str:
+        _fail(f"nodes[{i}].kind: expected a string")
+    fingerprint = doc.get("env_fingerprint")
+    if not (fingerprint is None or type(fingerprint) is str):
+        _fail(f"nodes[{i}].env_fingerprint: expected a string")
+    action = _parse_action(doc["action"], i)
+    parents = _strings(doc["parents"])
+    if parents is None:
+        _fail(f"nodes[{i}].parents: expected a list of strings")
+    sources = _strings(doc["sources"])
+    if sources is None:
+        _fail(f"nodes[{i}].sources: expected a list of strings")
+    return OperatorNode(name, kind, action, parents, sources, fingerprint)
 
 
 def _one_cycle(spec: WorkflowSpec) -> list[str]:
@@ -249,14 +329,13 @@ def validate(spec: WorkflowSpec) -> WorkflowSpec:
     if not spec.outputs:
         raise NoOutputsError()
     for out in spec.outputs:
-        _require(out in seen, f"outputs: unknown node {out!r}")
+        if out not in seen:
+            _fail(f"outputs: unknown node {out!r}")
     if len(spec.order) < len(spec.nodes):
         raise CycleDetectedError(_one_cycle(spec))
     for node in spec.nodes:
-        _require(
-            bool(node.parents) or bool(node.sources),
-            f"operator {node.name!r} has neither parents nor declared sources",
-        )
+        if not (node.parents or node.sources):
+            _fail(f"operator {node.name!r} has neither parents nor declared sources")
     return spec
 
 
@@ -266,34 +345,21 @@ def parse_workflow(text: str) -> WorkflowSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WorkflowSyntaxError(f"not valid JSON: {exc}") from exc
-    _check_keys(doc, {"version", "nodes", "outputs"}, set(), "workflow")
-    _require(isinstance(doc["version"], int) and not isinstance(doc["version"], bool),
-             "version: expected an integer")
-    _require(doc["version"] == SPEC_VERSION,
-             f"version: unsupported format {doc['version']} (supported: {SPEC_VERSION})")
-    _require(isinstance(doc["nodes"], list), "nodes: expected a list")
-    nodes = []
-    for i, node_doc in enumerate(doc["nodes"]):
-        where = f"nodes[{i}]"
-        _check_keys(node_doc, {"name", "kind", "action", "parents", "sources"},
-                    {"env_fingerprint"}, where)
-        _require(isinstance(node_doc["name"], str) and node_doc["name"],
-                 f"{where}.name: expected a non-empty string")
-        _require(isinstance(node_doc["kind"], str), f"{where}.kind: expected a string")
-        fingerprint = node_doc.get("env_fingerprint")
-        _require(fingerprint is None or isinstance(fingerprint, str),
-                 f"{where}.env_fingerprint: expected a string")
-        nodes.append(OperatorNode(
-            name=node_doc["name"],
-            kind=node_doc["kind"],
-            action=_parse_action(node_doc["action"], f"{where}.action"),
-            parents=_string_list(node_doc["parents"], f"{where}.parents"),
-            sources=_string_list(node_doc["sources"], f"{where}.sources"),
-            env_fingerprint=fingerprint,
-        ))
-    outputs = _string_list(doc["outputs"], "outputs")
-    return validate(WorkflowSpec(version=doc["version"], nodes=tuple(nodes),
-                                 outputs=outputs))
+    if not (type(doc) is dict and doc.keys() == _TOP_KEYS):
+        _fail_keys(doc, _TOP_KEYS, _TOP_KEYS, "workflow")
+    version = doc["version"]
+    if type(version) is not int:
+        _fail("version: expected an integer")
+    if version != SPEC_VERSION:
+        _fail(f"version: unsupported format {version} (supported: {SPEC_VERSION})")
+    node_docs = doc["nodes"]
+    if type(node_docs) is not list:
+        _fail("nodes: expected a list")
+    nodes = tuple(_parse_node(node_doc, i) for i, node_doc in enumerate(node_docs))
+    outputs = _strings(doc["outputs"])
+    if outputs is None:
+        _fail("outputs: expected a list of strings")
+    return validate(WorkflowSpec(version, nodes, outputs))
 
 
 def serialize_workflow(spec: WorkflowSpec) -> str:

@@ -1,11 +1,22 @@
 import dataclasses
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterflow.changes import compute_signatures, diff_iterations
 from iterflow.errors import MissingSourceError
-from iterflow.workflow import WorkflowSpec, descendants, validate
+from iterflow.workflow import (
+    CommandAction,
+    OperatorNode,
+    SimulatedAction,
+    WorkflowSpec,
+    descendants,
+    parse_workflow,
+    validate,
+)
 
 from conftest import chain_spec, random_spec, sim_node, sim_spec, write_sources
 
@@ -137,3 +148,68 @@ class TestDiff:
             current = compute_signatures(spec.replace_node(bumped), ws)
             changes = diff_iterations(previous, current)
             assert changes.changed == {edited} | descendants(spec, edited)
+
+
+GOLDEN_SPEC = {
+    "version": 1,
+    "nodes": [
+        {"name": "raw", "kind": "data-preprocessing",
+         "action": {"type": "simulated", "compute_seconds": 1, "output_bytes": 0},
+         "parents": [], "sources": ["src/a.txt", "src/b.txt"]},
+        {"name": "big", "kind": "ml",
+         "action": {"type": "simulated", "compute_seconds": 1e16, "output_bytes": 2**40},
+         "parents": ["raw"], "sources": [], "env_fingerprint": "lib-2.1"},
+        {"name": "cmd", "kind": "evaluation",
+         "action": {"type": "command",
+                    "argv": ["sh", "-c", "printf '%s\\n' \"a b\" \\ {parent:big}\x01",
+                             "naïve ✓ 日本"],
+                    "output": "out/cmd.txt"},
+         "parents": ["big", "raw"], "sources": []},
+        {"name": "ünïcode", "kind": "ml",
+         "action": {"type": "simulated", "compute_seconds": 0.1, "output_bytes": 7},
+         "parents": ["cmd"], "sources": ["src/a.txt"], "env_fingerprint": ""},
+    ],
+    "outputs": ["ünïcode"],
+}
+
+# Taken before the definition text was built without json.dumps; a cache
+# written by any earlier version keys its entries by exactly these values.
+GOLDEN_SIGNATURES = {
+    "raw": "f5f3c1d8a0c6f7e5715a388239372f7727a5a0e1a52df4b6bf732dff094bc735",
+    "big": "fea6dd43be37daa0328fe78b40fe1ba4fa28579909f3986cf33778b6eeb07874",
+    "cmd": "529eb1ab28f9a864770f4ed4d486ba88e4d2abf16102520685d5d8308b6fc8b4",
+    "ünïcode": "f7c94046a1e644dba0fe8cb27252fd1d9b9d0082065fe7cfee7bd49294421684",
+}
+
+
+def test_signatures_match_the_golden_values(workspace):
+    (workspace / "src").mkdir()
+    (workspace / "src" / "a.txt").write_bytes(b"alpha\n")
+    (workspace / "src" / "b.txt").write_bytes(b"\x00\xffbeta")
+    spec = parse_workflow(json.dumps(GOLDEN_SPEC))
+    assert compute_signatures(spec, workspace) == GOLDEN_SIGNATURES
+
+
+_text = st.text(st.characters(exclude_categories=()), max_size=12)
+_strings = st.lists(_text, max_size=4).map(tuple)
+_numbers = st.one_of(st.integers(), st.floats(), st.booleans())
+_actions = st.one_of(
+    st.builds(SimulatedAction, compute_seconds=_numbers, output_bytes=_numbers),
+    st.builds(CommandAction, argv=_strings, output=_text),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=st.builds(OperatorNode, name=_text, kind=_text, action=_actions,
+                      parents=_strings, sources=_strings,
+                      env_fingerprint=st.none() | _text),
+       token=_text)
+def test_definition_text_is_the_json_dumps_text(node, token):
+    # The form the signatures were first defined by; caches rest on it.
+    def reference(n):
+        return json.dumps(n.to_json(), sort_keys=True, separators=(",", ":"))
+
+    assert node.definition_text() == reference(node)
+    # The simulator edits a node the same way.
+    edited = dataclasses.replace(node, env_fingerprint=token)
+    assert edited.definition_text() == reference(edited)

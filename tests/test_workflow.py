@@ -7,6 +7,7 @@ from iterflow.errors import (
     CycleDetectedError,
     DuplicateNameError,
     NoOutputsError,
+    SpecError,
     UnknownParentError,
     WorkflowSyntaxError,
 )
@@ -255,3 +256,137 @@ class TestPruneDeadOperators:
             assert pruned.order == fresh.order
             with_dead += bool(removed)
         assert with_dead >= 100
+
+
+def _with_node(**fields):
+    """A one-node document whose node has ``fields`` overlaid (None drops a key)."""
+    node = node_doc("x")
+    for key, value in fields.items():
+        if value is None:
+            node.pop(key)
+        else:
+            node[key] = value
+    return doc([node], ["x"])
+
+
+def _with_action(action):
+    return _with_node(action=action)
+
+
+def _command(**fields):
+    action = {"type": "command", "argv": ["true"], "output": "out/x.txt"}
+    action.update(fields)
+    return _with_action({k: v for k, v in action.items() if v is not None})
+
+
+def _simulated(**fields):
+    action = {"type": "simulated", "compute_seconds": 1.0, "output_bytes": 10}
+    action.update(fields)
+    return _with_action({k: v for k, v in action.items() if v is not None})
+
+
+def _top(**fields):
+    top = {"version": 1, "nodes": [node_doc("x")], "outputs": ["x"]}
+    top.update(fields)
+    return json.dumps({k: v for k, v in top.items() if v is not None})
+
+
+# One bad document for every place that raises, with its exact message.
+PARSE_ERRORS = [
+    ("not-json", "{nope",
+     "not valid JSON: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    ("top-not-object", "[]", "workflow: expected an object"),
+    ("top-missing", _top(outputs=None, nodes=None),
+     "workflow: missing keys ['nodes', 'outputs']"),
+    ("top-unknown", _top(extra=1, author="me"), "workflow: unknown keys ['author', 'extra']"),
+    ("version-string", _top(version="1"), "version: expected an integer"),
+    ("version-bool", _top(version=True), "version: expected an integer"),
+    ("version-float", _top(version=1.0), "version: expected an integer"),
+    ("version-value", _top(version=99), "version: unsupported format 99 (supported: 1)"),
+    ("nodes-not-list", _top(nodes={"x": 1}), "nodes: expected a list"),
+    ("node-not-object", _top(nodes=[node_doc("x"), ["y"]]), "nodes[1]: expected an object"),
+    ("node-missing", _with_node(kind=None, parents=None),
+     "nodes[0]: missing keys ['kind', 'parents']"),
+    ("node-missing-before-unknown", _with_node(kind=None, retries=3),
+     "nodes[0]: missing keys ['kind']"),
+    ("node-unknown", _with_node(retries=3), "nodes[0]: unknown keys ['retries']"),
+    ("name-empty", _with_node(name=""), "nodes[0].name: expected a non-empty string"),
+    ("name-not-string", _with_node(name=5), "nodes[0].name: expected a non-empty string"),
+    ("kind", _with_node(kind=3), "nodes[0].kind: expected a string"),
+    ("env-fingerprint", _with_node(env_fingerprint=7),
+     "nodes[0].env_fingerprint: expected a string"),
+    ("action-not-object", _with_action("simulated"),
+     "nodes[0].action: action must be an object with a 'type' tag"),
+    ("action-no-type", _with_action({"argv": ["true"]}),
+     "nodes[0].action: action must be an object with a 'type' tag"),
+    ("action-type-not-string", _with_action({"type": 1}),
+     "nodes[0].action: action must be an object with a 'type' tag"),
+    ("command-inputs", _command(inputs=["data.csv"]),
+     "nodes[0].action.inputs: no longer supported; list watched files under the "
+     "operator's 'sources'"),
+    ("command-missing", _command(output=None), "nodes[0].action: missing keys ['output']"),
+    ("command-unknown", _command(cwd="/"), "nodes[0].action: unknown keys ['cwd']"),
+    ("argv-not-list", _command(argv="true"), "nodes[0].action.argv: expected a list of strings"),
+    ("argv-not-strings", _command(argv=["echo", 1]),
+     "nodes[0].action.argv: expected a list of strings"),
+    ("argv-empty", _command(argv=[]), "nodes[0].action.argv: must not be empty"),
+    ("output-empty", _command(output=""), "nodes[0].action.output: expected a non-empty path"),
+    ("output-not-string", _command(output=3),
+     "nodes[0].action.output: expected a non-empty path"),
+    ("simulated-missing", _simulated(output_bytes=None),
+     "nodes[0].action: missing keys ['output_bytes']"),
+    ("simulated-unknown", _simulated(memory=5), "nodes[0].action: unknown keys ['memory']"),
+    ("seconds-negative", _simulated(compute_seconds=-0.5),
+     "nodes[0].action.compute_seconds: expected a number >= 0"),
+    ("seconds-string", _simulated(compute_seconds="1"),
+     "nodes[0].action.compute_seconds: expected a number >= 0"),
+    ("seconds-bool", _simulated(compute_seconds=True),
+     "nodes[0].action.compute_seconds: expected a number >= 0"),
+    ("seconds-nan", _simulated(compute_seconds=float("nan")),
+     "nodes[0].action.compute_seconds: expected a number >= 0"),
+    ("bytes-negative", _simulated(output_bytes=-1),
+     "nodes[0].action.output_bytes: expected an integer >= 0"),
+    ("bytes-float", _simulated(output_bytes=10.0),
+     "nodes[0].action.output_bytes: expected an integer >= 0"),
+    ("bytes-bool", _simulated(output_bytes=False),
+     "nodes[0].action.output_bytes: expected an integer >= 0"),
+    ("action-type-unknown", _with_action({"type": "python", "callable": "f"}),
+     "nodes[0].action: unknown action type 'python'"),
+    ("parents-not-list", _with_node(parents="a"), "nodes[0].parents: expected a list of strings"),
+    ("parents-not-strings", _with_node(parents=[None]),
+     "nodes[0].parents: expected a list of strings"),
+    ("sources-not-list", _with_node(sources={"a": 1}),
+     "nodes[0].sources: expected a list of strings"),
+    ("sources-not-strings", _with_node(sources=["a", 2]),
+     "nodes[0].sources: expected a list of strings"),
+    ("outputs-not-list", _top(outputs="x"), "outputs: expected a list of strings"),
+    ("outputs-not-strings", _top(outputs=[["x"]]), "outputs: expected a list of strings"),
+    ("duplicate-name", doc([node_doc("x"), node_doc("x")], ["x"]),
+     "duplicate operator name: 'x'"),
+    ("unknown-parent", doc([node_doc("t", parents=["f"])], ["t"]),
+     "operator 't' references undefined parent 'f'"),
+    ("no-outputs", doc([node_doc("x")], []), "workflow declares no output nodes"),
+    ("unknown-output", doc([node_doc("x")], ["x", "ghost"]), "outputs: unknown node 'ghost'"),
+    ("cycle", doc([node_doc("a", parents=["b"]), node_doc("b", parents=["a"])], ["a"]),
+     "dependency cycle: a -> b -> a"),
+    ("root-without-sources", doc([node_doc("x", sources=[])], ["x"]),
+     "operator 'x' has neither parents nor declared sources"),
+]
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in PARSE_ERRORS],
+                         ids=[case[0] for case in PARSE_ERRORS])
+def test_parse_error_message(text, message):
+    with pytest.raises(SpecError) as err:
+        parse_workflow(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("seconds", ["Infinity", "1e400", "1" + "0" * 400],
+                         ids=["infinity", "float-overflow", "int-overflow"])
+def test_unbounded_compute_seconds_rejected_by_the_parser(seconds):
+    text = _simulated(compute_seconds=123456789).replace("123456789", seconds)
+    with pytest.raises(WorkflowSyntaxError) as err:
+        parse_workflow(text)
+    assert str(err.value) == "nodes[0].action.compute_seconds: expected a number >= 0"
