@@ -124,3 +124,58 @@ class TestSimulate:
             "iteration", "kind", "policy", "iteration_seconds", "cumulative_seconds",
         ]
         assert len(lines) == 1 + 2 * 2
+
+
+def _linear(step: float) -> list[float]:
+    return [step * i for i in range(1, 16)]
+
+
+# Every row's cumulative seconds at seed 7, 15 iterations and the default
+# frequencies, per scenario, budget and policy.  Frozen from the
+# implementation; a change to any policy's decisions shows up here.
+PINNED_CUMULATIVE = {
+    ("ie", None): {
+        "engine": [171.0, 266.7, 403.2, 561.9, 698.4, 858.6, 889.15, 1025.65,
+                   1075.65, 1244.85, 1294.85, 1316.55, 1347.1, 1362.1, 1392.65],
+        "materialize-all": [322.45, 484.4, 736.55, 1035.6, 1287.75, 1597.8, 1648.05,
+                            1900.2, 1978.45, 2298.9, 2377.15, 2412.85, 2463.1, 2485.1,
+                            2535.35],
+        "materialize-none": _linear(171.0),
+        "paper-literal": _linear(171.0),
+    },
+    ("ie", 3 * 10**9): {
+        "engine": [171.0, 319.6, 468.2, 626.9, 785.6, 945.8, 1106.0, 1266.2, 1426.4,
+                   1595.6, 1755.8, 1916.0, 2076.2, 2236.4, 2396.6],
+        "materialize-all": [199.2, 347.8, 496.4, 655.1, 813.8, 974.0, 1134.2, 1294.4,
+                            1454.6, 1625.2, 1785.4, 1945.6, 2105.8, 2266.0, 2426.2],
+        "materialize-none": _linear(171.0),
+        "paper-literal": _linear(171.0),
+    },
+    ("classification", None): {
+        "engine": [100.0, 138.9, 221.4, 260.3, 264.5, 308.2, 324.5, 368.2, 450.7,
+                   451.74, 468.04, 499.14, 544.64, 613.04, 681.44],
+        "materialize-all": [109.5, 151.3, 241.2, 283.0, 287.25, 334.25, 351.05, 398.05,
+                            487.95, 489.0, 505.8, 538.7, 587.7, 662.1, 736.5],
+        "materialize-none": _linear(100.0),
+        "paper-literal": _linear(100.0),
+    },
+    ("classification", 3 * 10**9): {
+        "engine": [100.0, 138.9, 221.4, 260.3, 264.5, 308.2, 324.5, 368.2, 450.7,
+                   451.74, 534.24, 616.74, 699.24, 781.74, 864.24],
+        "materialize-all": [109.5, 151.3, 241.2, 283.0, 287.25, 334.25, 351.05, 398.05,
+                            480.6, 481.65, 564.2, 646.74, 729.24, 811.74, 894.24],
+        "materialize-none": _linear(100.0),
+        "paper-literal": _linear(100.0),
+    },
+}
+
+
+@pytest.mark.parametrize("scenario, budget", list(PINNED_CUMULATIVE),
+                         ids=lambda v: str(v))
+def test_policies_reproduce_the_pinned_cumulative_seconds(scenario, budget):
+    spec = load_scenario(scenario)
+    trace = generate_trace(spec, n_iterations=15, seed=7)
+    for policy, expected in PINNED_CUMULATIVE[scenario, budget].items():
+        result = simulate(spec, trace, policy, budget_bytes=budget)
+        got = [row.cumulative_seconds for row in result.rows]
+        assert got == pytest.approx(expected, abs=1e-6), policy
