@@ -20,7 +20,6 @@ from .policy import (
     POLICIES,
     EnginePolicy,
     MaterializationDecision,
-    RecomputeChains,
     StorageBudget,
     r_value,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "NodeState",
     "OperatorNode",
     "POLICIES",
-    "RecomputeChains",
     "RunConfig",
     "RunReport",
     "SimulatedAction",

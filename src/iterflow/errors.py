@@ -52,12 +52,6 @@ class TooLargeError(IterflowError):
         self.limit = limit
 
 
-class UnknownCostError(IterflowError):
-    def __init__(self, node: str):
-        super().__init__(f"no compute cost is known for node {node!r}")
-        self.node = node
-
-
 class KindAbsentError(IterflowError):
     def __init__(self, kind: str):
         super().__init__(f"workflow has no node of kind {kind!r}")

@@ -3,9 +3,11 @@ to persist its output for future runs.
 
 The decision weighs the full recompute chain of a node (its own compute
 time plus every ancestor's) against twice its load time, one write now plus
-one read later.  Call that balance the node's r-value.  The published rule
-and the sign that actually pays off disagree, so both are rows of
-``POLICIES``, next to the two baselines that persist everything or nothing.
+one read later.  Call that balance the node's r-value.  Each decision walks
+the node's ancestors afresh and stops once the sign is settled (see
+``r_value``); nothing is kept between decisions.  The published rule and the
+sign that actually pays off disagree, so both are rows of ``POLICIES``, next
+to the two baselines that persist everything or nothing.
 
 Decisions are strictly online: a node's decision may look at the node
 itself, its ancestors, and the running storage budget, never at anything
@@ -14,11 +16,9 @@ downstream or still unexecuted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .errors import UnknownCostError
 from .planner import _MICROS, CostRecord, Dag, _micros
 
 
@@ -59,83 +59,50 @@ class StorageBudget:
 
 @dataclass(frozen=True)
 class MaterializationDecision:
+    """The outcome of one decision.
+
+    ``r_value`` is exact when it is <= 0; when positive it is a lower bound,
+    the balance ``r_value()`` had reached when the sign was settled.
+    """
+
     node: str
     r_value: float
     materialize: bool
     bytes_charged: int
 
 
-def _compute_micros(costs: Mapping[str, CostRecord], name: str) -> int:
-    seconds = costs[name].compute_seconds if name in costs else None
-    if seconds is None or not math.isfinite(seconds):
-        raise UnknownCostError(name)
-    return _micros(seconds)
+def r_value(node: str, costs: Mapping[str, CostRecord], dag: Dag) -> float:
+    """Recompute chain of ``node`` minus twice its (estimated) load time.
 
+    The chain is the node's own compute time plus that of every ancestor,
+    each counted once.  Positive means a future iteration that reuses the
+    node saves more time than one write plus one read costs.
 
-class RecomputeChains:
-    """Recompute chain of each node of one iteration: its own compute time
-    plus that of every ancestor, each ancestor counted once.
+    Every policy reads only the sign, so the walk stops early: it starts
+    from minus twice the load, adds the compute of the node and then of its
+    ancestors, depth-first, and returns as soon as the balance is positive.
+    A value <= 0 is therefore exact, an exact tie included; a positive value
+    is the balance at the stop, a lower bound on the full r-value.  Sums are
+    integer microseconds, like the planner's costs, so an exact tie reads 0
+    whatever the order of the walk.  Worst case: a node whose chain is at
+    most twice its load walks its whole ancestor set.
 
-    ``add`` is called for a node once its cost is final; it first adds every
-    ancestor not added yet, parents first, with the costs it is given.  Each
-    node keeps its ancestor set as an int bitset over the order in which
-    nodes were added.  Its chain is that of the parent with the largest set,
-    plus the compute of every node of its own set the parent's lacks, itself
-    included; the sums are integer microseconds, so the result equals the
-    plain set sum exactly, whatever the order of the adds.
+    Costs are read at call time.  A missing cost raises KeyError, and a
+    negative or non-finite one ValueError.
     """
-
-    def __init__(self, dag: Dag):
-        self._dag = dag
-        self._names: list[str] = []
-        self._bits: dict[str, int] = {}
-        self.micros: dict[str, int] = {}
-
-    def add(self, name: str, costs: Mapping[str, CostRecord]) -> None:
-        """Add ``name`` and its absent ancestors; a node added before keeps
-        its chain."""
-        pending = [name]
-        while pending:
-            current = pending[-1]
-            absent = [parent for parent in self._dag[current] if parent not in self._bits]
-            if absent:
-                pending.extend(absent)
-                continue
-            pending.pop()
-            if current not in self._bits:
-                self._add_one(current, costs)
-
-    def _add_one(self, name: str, costs: Mapping[str, CostRecord]) -> None:
-        parents = self._dag[name]
-        bits = 1 << len(self._names)
-        self._names.append(name)
-        chain = base = 0
-        if parents:
-            widest = max(parents, key=lambda parent: self._bits[parent].bit_count())
-            chain, base = self.micros[widest], self._bits[widest]
-            for parent in parents:
-                bits |= self._bits[parent]
-        missing = bits & ~base
-        while missing:
-            low = missing & -missing
-            chain += _compute_micros(costs, self._names[low.bit_length() - 1])
-            missing ^= low
-        self._bits[name] = bits
-        self.micros[name] = chain
-
-
-def r_value(node: str, costs: Mapping[str, CostRecord], chains: RecomputeChains) -> float:
-    """Recompute chain minus twice the (estimated) load time of ``node``.
-
-    Positive means a future iteration that reuses the node saves more time
-    than one write plus one read costs.  ``costs[node].load_seconds`` must
-    be the finite load estimate for the freshly produced output, and
-    ``node`` must have been added to ``chains``.
-    """
-    load = costs[node].load_seconds if node in costs else None
-    if load is None or not math.isfinite(load):
-        raise UnknownCostError(node)
-    return (chains.micros[node] - 2 * _micros(load)) / _MICROS
+    balance = -2 * _micros(costs[node].load_seconds)
+    seen = {node}
+    pending = [node]
+    while pending:
+        name = pending.pop()
+        balance += _micros(costs[name].compute_seconds)
+        if balance > 0:
+            break
+        for parent in dag[name]:
+            if parent not in seen:
+                seen.add(parent)
+                pending.append(parent)
+    return balance / _MICROS
 
 
 class EnginePolicy:
@@ -150,8 +117,8 @@ class EnginePolicy:
             raise ValueError(f"unknown policy {name!r} (choose from {', '.join(POLICIES)})")
         self.persists, self.charges_write = POLICIES[name]
 
-    def decide(self, node, costs, chains, budget) -> MaterializationDecision:
-        r = r_value(node, costs, chains)
+    def decide(self, node, costs, dag, budget) -> MaterializationDecision:
+        r = r_value(node, costs, dag)
         nbytes = costs[node].output_bytes
         materialize = self.persists(r) and budget.fits(nbytes)
         if materialize:

@@ -32,7 +32,7 @@ from .planner import (
     NodeState,
     assign_states_optimal,
 )
-from .policy import EnginePolicy, RecomputeChains, StorageBudget
+from .policy import EnginePolicy, StorageBudget
 from .store import CacheManifest, CacheStore, HistoryRecord
 from .workflow import (
     CommandAction,
@@ -226,9 +226,7 @@ class _Executor:
         self.available: set[str] = set()
         self.records: dict[str, NodeRunRecord] = {}
         self.lost: dict[str, str] = {}  # node -> why its entry was forgotten
-        # A computed node joins once its cost is final, with every ancestor
-        # not in yet; a node with no computed descendant never joins.
-        self.chains = RecomputeChains(ctx.spec.parent_map())
+        self.dag = ctx.spec.parent_map()
 
     def output_path(self, node: OperatorNode) -> Path:
         if isinstance(node.action, CommandAction):
@@ -311,12 +309,11 @@ class _Executor:
             cost_bytes = len(payload)
         self.store.record_costs(node.name, rec.wall_seconds, cost_bytes)
         self.costs[node.name] = _node_cost(node, self.store.manifest.cost_history[node.name])
-        self.chains.add(node.name, self.costs)
         sig = self.ctx.signatures[node.name]
         if sig in self.store.manifest.entries:
             return  # already persisted under this signature; nothing to decide
 
-        decision = self.policy.decide(node.name, self.costs, self.chains, self.budget)
+        decision = self.policy.decide(node.name, self.costs, self.dag, self.budget)
         if decision.materialize:
             started = time.monotonic()
             self.store.put(node.name, sig, payload, rec.wall_seconds,
@@ -369,7 +366,7 @@ class _Executor:
         cached = done | (self.ctx.cached - self.lost.keys())
         costs = {n: CostRecord(c.compute_seconds, 0.0, c.output_bytes) if n in done else c
                  for n, c in self.costs.items()}
-        return assign_states_optimal(self.ctx.spec.parent_map(), costs, cached,
+        return assign_states_optimal(self.dag, costs, cached,
                                      self.ctx.changes.changed - cached,
                                      set(self.ctx.spec.outputs)).states
 

@@ -15,6 +15,7 @@ curves are deterministic and byte-reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 import tempfile
 from dataclasses import dataclass, replace
@@ -58,7 +59,8 @@ def generate_trace(
     if n_iterations < 1:
         raise ValueError("need at least one iteration")
     freqs = tuple(float(f) for f in kind_frequencies)
-    if len(freqs) != len(KINDS) or any(f < 0 for f in freqs) or abs(sum(freqs) - 1.0) > 1e-9:
+    if (len(freqs) != len(KINDS) or any(not math.isfinite(f) or f < 0 for f in freqs)
+            or abs(sum(freqs) - 1.0) > 1e-9):
         raise ValueError("kind_frequencies must be three nonnegative numbers summing to 1")
     by_kind = {kind: sorted(n.name for n in spec.nodes if n.kind == kind) for kind in KINDS}
     rng = random.Random(seed)

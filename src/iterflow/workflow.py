@@ -343,7 +343,7 @@ def parse_workflow(text: str) -> WorkflowSpec:
     """Parse and validate a workflow document (strict: unknown keys fail)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits
         raise WorkflowSyntaxError(f"not valid JSON: {exc}") from exc
     if not (type(doc) is dict and doc.keys() == _TOP_KEYS):
         _fail_keys(doc, _TOP_KEYS, _TOP_KEYS, "workflow")

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import graphlib
 import hashlib
 import random
 from pathlib import Path
 
-from iterflow.planner import CostRecord, _micros
-from iterflow.policy import RecomputeChains
+from iterflow.planner import _MICROS, CostRecord, _micros
 from iterflow.workflow import (
     OperatorNode,
     SimulatedAction,
@@ -80,18 +78,18 @@ def ancestors(dag: dict, name: str) -> set[str]:
 
 
 def recompute_chain_micros(node: str, costs, dag: dict) -> int:
-    """Oracle for ``RecomputeChains``: compute time of ``node`` plus all of
-    its ancestors, walked afresh, in integer microseconds."""
+    """Oracle for ``r_value``: compute time of ``node`` plus all of its
+    ancestors, summed in full, in integer microseconds."""
     return sum(_micros(costs[name].compute_seconds)
                for name in (node, *ancestors(dag, node)))
 
 
-def chains_for(dag: dict, costs) -> RecomputeChains:
-    """Every node of ``dag`` added to fresh chains, parents first."""
-    chains = RecomputeChains(dag)
-    for name in graphlib.TopologicalSorter(dag).static_order():
-        chains.add(name, costs)
-    return chains
+def check_r_value(r: float, exact_micros: int) -> None:
+    """``r_value`` is exact at or below zero, a positive lower bound above."""
+    if exact_micros <= 0:
+        assert r == exact_micros / _MICROS
+    else:
+        assert 0 < r <= exact_micros / _MICROS
 
 
 def random_costs(rng: random.Random,

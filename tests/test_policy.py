@@ -8,19 +8,17 @@ from pathlib import Path
 import pytest
 
 import iterflow
-from iterflow.errors import UnknownCostError
-from iterflow.planner import CostRecord
+from iterflow.planner import _MICROS, CostRecord, _micros
 from iterflow.policy import (
     POLICIES,
     EnginePolicy,
-    RecomputeChains,
     StorageBudget,
     r_value,
 )
 
 from conftest import (
     ancestors,
-    chains_for,
+    check_r_value,
     random_costs,
     random_dag,
     recompute_chain_micros,
@@ -36,56 +34,56 @@ def finite_costs(mapping):
 class TestRValue:
     def test_source_node_balances_to_zero(self):
         costs = finite_costs({"a": (4.0, 2.0, 100)})
-        assert r_value("a", costs, chains_for({"a": ()}, costs)) == 0.0
+        assert r_value("a", costs, {"a": ()}) == 0.0
 
     def test_chain(self):
         dag = {"a": (), "b": ("a",)}
         costs = finite_costs({"a": (10.0, 1.0, 100), "b": (5.0, 3.0, 100)})
-        assert r_value("b", costs, chains_for(dag, costs)) == 9.0
+        assert r_value("b", costs, dag) == 9.0
 
     def test_boundary_is_exactly_zero(self):
         dag = {"a": (), "b": ("a",)}
         costs = finite_costs({"a": (6.0, 1.0, 100), "b": (4.0, 5.0, 100)})
-        assert r_value("b", costs, chains_for(dag, costs)) == 0.0
+        assert r_value("b", costs, dag) == 0.0
 
     def test_unknown_ancestor_cost(self):
         dag = {"a": (), "b": ("a",)}
-        costs = {"b": CostRecord(5.0, 3.0, 100)}
-        with pytest.raises(UnknownCostError):
-            r_value("b", costs, chains_for(dag, costs))
+        costs = {"b": CostRecord(5.0, 3.0, 100)}  # b alone balances to -1
+        with pytest.raises(KeyError):
+            r_value("b", costs, dag)
 
     def test_infinite_load_estimate_rejected(self):
-        with pytest.raises(UnknownCostError):
-            costs = {"a": CostRecord(1.0, math.inf, 10)}
-            r_value("a", costs, chains_for({"a": ()}, costs))
+        costs = {"a": CostRecord(1.0, math.inf, 10)}
+        with pytest.raises(ValueError):
+            r_value("a", costs, {"a": ()})
 
 
 class TestDecide:
     costs = finite_costs({"a": (10.0, 1.0, 100), "b": (5.0, 3.0, 500)})
-    chains = chains_for({"a": (), "b": ("a",)}, costs)
+    dag = {"a": (), "b": ("a",)}
 
     def test_positive_balance_materializes_by_default(self):
         budget = StorageBudget(capacity_bytes=None)
-        decision = EnginePolicy().decide("b", self.costs, self.chains, budget)
+        decision = EnginePolicy().decide("b", self.costs, self.dag, budget)
         assert decision.materialize and decision.r_value == 9.0
         assert decision.bytes_charged == 500
 
     def test_budget_violation_suppresses_materialization(self):
         budget = StorageBudget(capacity_bytes=499)
-        decision = EnginePolicy().decide("b", self.costs, self.chains, budget)
+        decision = EnginePolicy().decide("b", self.costs, self.dag, budget)
         assert not decision.materialize
         assert budget.used_bytes == 0
 
     def test_budget_is_charged(self):
         budget = StorageBudget(capacity_bytes=600)
-        assert EnginePolicy().decide("b", self.costs, self.chains, budget).materialize
+        assert EnginePolicy().decide("b", self.costs, self.dag, budget).materialize
         assert budget.used_bytes == 500
         # a second identical output no longer fits
-        assert not EnginePolicy().decide("b", self.costs, self.chains, budget).materialize
+        assert not EnginePolicy().decide("b", self.costs, self.dag, budget).materialize
 
     def test_deterministic(self):
-        first = EnginePolicy().decide("b", self.costs, self.chains, StorageBudget(None))
-        second = EnginePolicy().decide("b", self.costs, self.chains, StorageBudget(None))
+        first = EnginePolicy().decide("b", self.costs, self.dag, StorageBudget(None))
+        second = EnginePolicy().decide("b", self.costs, self.dag, StorageBudget(None))
         assert first == second
 
 
@@ -113,13 +111,8 @@ def test_decision_reads_only_the_node_and_its_ancestors():
         node = names[rng.randrange(len(names))]
         allowed = {node, *ancestors(dag, node)}
         for name in POLICIES:
-            chains = RecomputeChains(dag)
-            for earlier in names:  # random_dag lists parents first
-                if earlier in allowed - {node}:
-                    chains.add(earlier, plain)
             spy = _SpyCosts(plain)
-            chains.add(node, spy)
-            EnginePolicy(name).decide(node, spy, chains, StorageBudget(None))
+            EnginePolicy(name).decide(node, spy, dag, StorageBudget(None))
             assert spy.touched <= allowed, name
 
 
@@ -131,11 +124,10 @@ def test_budget_safety_over_a_run_of_decisions():
                       rng.randint(1, 1000))
         for n in dag
     }
-    chains = chains_for(dag, costs)
     budget = StorageBudget(capacity_bytes=1500)
     charged = 0
     for node in dag:
-        decision = EnginePolicy().decide(node, costs, chains, budget)
+        decision = EnginePolicy().decide(node, costs, dag, budget)
         charged += decision.bytes_charged
     assert charged <= 1500
     assert budget.used_bytes == charged
@@ -150,11 +142,10 @@ def test_expensive_chains_always_materialize_with_unlimited_budget():
             n: CostRecord(r.compute_seconds, float(rng.randint(0, 5)), 10)
             for n, r in costs.items()
         }
-        chains = chains_for(dag, finite)
         for node in dag:
-            r = r_value(node, finite, chains)
+            r = r_value(node, finite, dag)
             if r > 0:
-                assert EnginePolicy().decide(node, finite, chains, StorageBudget(None)).materialize
+                assert EnginePolicy().decide(node, finite, dag, StorageBudget(None)).materialize
 
 
 # Per row: whether it persists at r > 0, r < 0 and r == 0, and whether it
@@ -178,15 +169,15 @@ SIGNED_COSTS = (
 def test_policy_row(name):
     persists, charges_write = EXPECTED_ROWS[name]
     policy = EnginePolicy(name)
+    dag = {"a": (), "b": ("a",)}
     for wanted, (r, costs) in zip(persists, SIGNED_COSTS):
-        chains = chains_for({"a": (), "b": ("a",)}, costs)
         budget = StorageBudget(None)
-        decision = policy.decide("b", costs, chains, budget)
+        decision = policy.decide("b", costs, dag, budget)
         assert (decision.r_value, decision.materialize) == (r, wanted)
         assert decision.bytes_charged == budget.used_bytes == (500 if wanted else 0)
 
         full = StorageBudget(capacity_bytes=600, used_bytes=200)
-        assert not policy.decide("b", costs, chains, full).materialize
+        assert not policy.decide("b", costs, dag, full).materialize
         assert full.used_bytes == 200
 
         expected_write = costs["b"].load_seconds if charges_write else 0.0
@@ -195,12 +186,12 @@ def test_policy_row(name):
 
 class TestBaselinePolicies:
     costs = finite_costs({"a": (1.0, 4.0, 100)})
-    chains = chains_for({"a": ()}, costs)
+    dag = {"a": ()}
 
     def test_materialize_all_persists_within_budget(self):
         policy = EnginePolicy("materialize-all")
-        assert policy.decide("a", self.costs, self.chains, StorageBudget(None)).materialize
-        assert not policy.decide("a", self.costs, self.chains,
+        assert policy.decide("a", self.costs, self.dag, StorageBudget(None)).materialize
+        assert not policy.decide("a", self.costs, self.dag,
                                  StorageBudget(capacity_bytes=50)).materialize
 
     def test_materialize_all_models_a_write_cost(self):
@@ -214,55 +205,87 @@ def test_unknown_policy_name_is_rejected():
 
 
 class TestRecomputeChains:
+    """The recompute chain as ``r_value`` walks it."""
+
     def test_chains_equal_the_ancestor_walk(self):
+        # Each load covers the whole chain, so the walk never stops early.
         rng = random.Random(16)
         for _ in range(200):
             dag = random_dag(rng, max_nodes=14, edge_prob=rng.choice((0.1, 0.3, 0.6)))
-            costs = {
-                n: CostRecord(rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0), 10) for n in dag
-            }
-            chains = chains_for(dag, costs)
+            compute = {n: rng.uniform(0.0, 3.0) for n in dag}
+            costs = {n: CostRecord(c, 21.0, 10) for n, c in compute.items()}
             for node in dag:
-                assert chains.micros[node] == recompute_chain_micros(node, costs, dag)
+                oracle = recompute_chain_micros(node, costs, dag)
+                assert r_value(node, costs, dag) == (oracle - 42 * _MICROS) / _MICROS
 
     def test_diamond_counts_the_shared_ancestor_once(self):
         dag = {"a": (), "b": ("a",), "c": ("a",), "d": ("b", "c")}
         costs = finite_costs({"a": (1.0, 0.0, 1), "b": (2.0, 0.0, 1),
-                              "c": (4.0, 0.0, 1), "d": (8.0, 0.0, 1)})
-        chains = chains_for(dag, costs)
-        assert chains.micros["d"] == 15_000_000
-        assert chains.micros["b"] + chains.micros["c"] + 8_000_000 == 16_000_000
+                              "c": (4.0, 0.0, 1), "d": (8.0, 7.5, 1)})
+        # 1 + 2 + 4 + 8 = 15 ties with twice d's load; counting a twice would not.
+        assert r_value("d", costs, dag) == 0.0
+        assert not EnginePolicy().decide("d", costs, dag, StorageBudget(None)).materialize
 
     def test_reads_a_bounded_number_of_costs_per_node(self):
-        # 200 layers of 8 nodes, 3 parents each from the 3 layers above: the
-        # ancestor walk reads hundreds of costs per node on this shape.
-        rng = random.Random(17)
-        layers: list[list[str]] = []
-        dag: dict[str, tuple[str, ...]] = {}
-        for depth in range(200):
-            pool = [p for layer in layers[-3:] for p in layer]
-            layer = [f"l{depth:03d}n{i}" for i in range(8)]
-            for name in layer:
-                dag[name] = tuple(rng.sample(pool, min(3, len(pool))))
-            layers.append(layer)
+        # Layers of 8 nodes, 3 parents each from the 3 layers above: a full
+        # ancestor walk reads hundreds of costs per node on this shape, and
+        # thousands at 20 000 nodes.
+        for n_layers in (200, 2500):
+            rng = random.Random(17)
+            layers: list[list[str]] = []
+            dag: dict[str, tuple[str, ...]] = {}
+            for depth in range(n_layers):
+                pool = [p for layer in layers[-3:] for p in layer]
+                layer = [f"l{depth:04d}n{i}" for i in range(8)]
+                for name in layer:
+                    dag[name] = tuple(rng.sample(pool, min(3, len(pool))))
+                layers.append(layer)
 
-        costs = _SpyCosts({n: CostRecord(1.0, 1.0, 10) for n in dag})
-        chains = RecomputeChains(dag)
-        for name in dag:
-            chains.add(name, costs)
-        assert costs.reads / len(dag) <= 16
+            costs = _SpyCosts({n: CostRecord(1.0, 1.0, 10) for n in dag})
+            policy = EnginePolicy()
+            for name in dag:
+                policy.decide(name, costs, dag, StorageBudget(None))
+            assert costs.reads / len(dag) <= 16, n_layers
+
+
+def _oracle_decision(name, node, costs, dag, capacity):
+    """The exact r-value in microseconds, and whether ``name`` persists."""
+    r = recompute_chain_micros(node, costs, dag) - 2 * _micros(costs[node].load_seconds)
+    persists, _ = POLICIES[name]
+    fits = capacity is None or costs[node].output_bytes <= capacity
+    return r, persists(r / _MICROS) and fits
+
+
+@pytest.mark.parametrize("name", list(POLICIES))
+def test_decisions_match_the_full_chain_oracle(name):
+    # Integer-second costs make exact ties and negative balances common.
+    rng = random.Random(18)
+    signs = set()
+    for _ in range(300):
+        dag = random_dag(rng, max_nodes=12, edge_prob=rng.choice((0.1, 0.3, 0.6)))
+        costs = {
+            n: CostRecord(float(rng.randint(0, 6)), float(rng.randint(0, 12)),
+                          rng.randint(1, 100))
+            for n in dag
+        }
+        for node in dag:
+            capacity = rng.choice((None, 50))
+            want_r, want_materialize = _oracle_decision(name, node, costs, dag, capacity)
+            decision = EnginePolicy(name).decide(node, costs, dag, StorageBudget(capacity))
+            assert decision.materialize == want_materialize
+            assert decision.bytes_charged == (costs[node].output_bytes if want_materialize else 0)
+            check_r_value(decision.r_value, want_r)
+            signs.add((want_r > 0) - (want_r < 0))
+    assert signs == {-1, 0, 1}
 
 
 _TIE_PROBE = """
 from iterflow.planner import CostRecord
-from iterflow.policy import EnginePolicy, RecomputeChains, StorageBudget
+from iterflow.policy import EnginePolicy, StorageBudget
 dag = {"a": (), "b": (), "c": (), "d": ("a", "b", "c")}
 costs = {"a": CostRecord(0.1, 1.0), "b": CostRecord(0.2, 1.0),
          "c": CostRecord(0.3, 1.0), "d": CostRecord(0.0, 0.3)}
-chains = RecomputeChains(dag)
-for name in dag:
-    chains.add(name, costs)
-decision = EnginePolicy().decide("d", costs, chains, StorageBudget(None))
+decision = EnginePolicy().decide("d", costs, dag, StorageBudget(None))
 print(decision.r_value, decision.materialize)
 """
 

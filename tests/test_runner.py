@@ -8,7 +8,6 @@ import pytest
 from iterflow import runner
 from iterflow.errors import CacheLockedError, InvalidConfigError
 from iterflow.planner import (
-    _MICROS,
     ExecutionPlan,
     NodeState,
     _micros,
@@ -24,12 +23,13 @@ from iterflow.runner import (
     read_run_log_tail,
     run_iteration,
 )
-from iterflow.policy import EnginePolicy, RecomputeChains, StorageBudget
+from iterflow.policy import EnginePolicy, StorageBudget
 from iterflow.store import CacheStore, load_manifest
 from iterflow.workflow import parse_workflow, serialize_workflow
 
 from conftest import (
     chain_spec,
+    check_r_value,
     random_spec,
     recompute_chain_micros,
     sim_node,
@@ -353,8 +353,8 @@ class TestRealCommands:
         seen = {}
         original_decide = EnginePolicy.decide
 
-        def spy_decide(self, node, costs, chains, budget):
-            decision = original_decide(self, node, costs, chains, budget)
+        def spy_decide(self, node, costs, dag, budget):
+            decision = original_decide(self, node, costs, dag, budget)
             seen[node] = (decision.r_value, costs[node].load_seconds)
             return decision
 
@@ -365,7 +365,11 @@ class TestRealCommands:
         wall_b = report.nodes["b"].wall_seconds
         assert wall_a < runner.DEFAULT_COMPUTE_SECONDS
         r, load_b = seen["b"]
-        assert r == (_micros(wall_a) + _micros(wall_b) - 2 * _micros(load_b)) / 1e6
+        # The walk starts at b and reaches a only while the balance is <= 0.
+        balance = _micros(wall_b) - 2 * _micros(load_b)
+        if balance <= 0:
+            balance += _micros(wall_a)
+        assert r == balance / 1e6
 
     def test_failure_skips_dependents_but_not_independent_chains(self, env):
         ws, cache = env
@@ -572,9 +576,9 @@ def test_policy_decision_precedes_downstream_execution(tmp_path, monkeypatch):
         events.append(("run", node.name))
         return original_action(self, node, rec)
 
-    def spy_decide(self, node, costs, chains, budget):
+    def spy_decide(self, node, costs, dag, budget):
         events.append(("decide", node))
-        return original_decide(self, node, costs, chains, budget)
+        return original_decide(self, node, costs, dag, budget)
 
     monkeypatch.setattr(_Executor, "_run_action", spy_action)
     monkeypatch.setattr(EnginePolicy, "decide", spy_decide)
@@ -591,36 +595,36 @@ def test_policy_decision_precedes_downstream_execution(tmp_path, monkeypatch):
 
 
 class TestRecomputeChainsInRuns:
-    def record_chains(self, monkeypatch) -> list[RecomputeChains]:
-        made = []
-
-        class Recording(RecomputeChains):
-            def __init__(self, dag):
-                super().__init__(dag)
-                made.append(self)
-
-        monkeypatch.setattr(runner, "RecomputeChains", Recording)
-        return made
-
-    def test_no_edit_warm_run_adds_no_node(self, env, monkeypatch):
+    def test_no_edit_warm_run_decides_nothing(self, env, monkeypatch):
         ws, cache = env
         path = deploy(chain_spec("a", "b", "c"), ws)
-        made = self.record_chains(monkeypatch)
+        decided = []
+        original_decide = EnginePolicy.decide
+
+        def spy_decide(self, node, costs, dag, budget):
+            decided.append(node)
+            return original_decide(self, node, costs, dag, budget)
+
+        monkeypatch.setattr(EnginePolicy, "decide", spy_decide)
         run_iteration(path, ws, cache, sim_config())
+        assert decided == ["a", "b", "c"]
         warm = run_iteration(path, ws, cache, sim_config())
         assert {rec.state for rec in warm.nodes.values()} == {"load", "prune"}
-        assert [set(chains.micros) for chains in made] == [{"a", "b", "c"}, set()]
+        assert decided == ["a", "b", "c"]
 
     def test_fallback_recompute_below_loaded_parents_keeps_exact_chains(
         self, env, monkeypatch
     ):
         # a -> b -> {c -> e, d}.  Editing d and e loads b and c; c's load
         # fails, so c is recomputed from the loaded b.  The decisions on d
-        # and e then read chains through ancestors that were never computed.
+        # and e then read chains through ancestors that were never computed;
+        # their loads (10 s and 14 s) make the walk cover every ancestor.
         ws, cache = env
         seconds = {"a": 3.0, "b": 5.0, "c": 7.0, "d": 11.0, "e": 13.0}
+        nbytes = {"a": 1000, "b": 1000, "c": 1000, "d": 10**9, "e": 14 * 10**8}
         parents = {"a": (), "b": ("a",), "c": ("b",), "d": ("b",), "e": ("c",)}
-        nodes = [sim_node(n, parents=parents[n], compute_seconds=seconds[n]) for n in parents]
+        nodes = [sim_node(n, parents=parents[n], compute_seconds=seconds[n],
+                          output_bytes=nbytes[n]) for n in parents]
         spec = sim_spec(nodes, outputs=("d", "e"))
         path = deploy(spec, ws)
         run_iteration(path, ws, cache, sim_config())
@@ -641,8 +645,8 @@ class TestRecomputeChainsInRuns:
         decided = {}
         original_decide = EnginePolicy.decide
 
-        def spy_decide(self, node, costs, chains, budget):
-            decision = original_decide(self, node, costs, chains, budget)
+        def spy_decide(self, node, costs, dag, budget):
+            decision = original_decide(self, node, costs, dag, budget)
             decided[node] = (decision.r_value, dict(costs))
             return decision
 
@@ -659,4 +663,5 @@ class TestRecomputeChainsInRuns:
         assert set(decided) == {"c", "d", "e"}
         for node, (r, costs) in decided.items():
             oracle = recompute_chain_micros(node, costs, parents)
-            assert r == (oracle - 2 * _micros(costs[node].load_seconds)) / _MICROS
+            check_r_value(r, oracle - 2 * _micros(costs[node].load_seconds))
+        assert (decided["d"][0], decided["e"][0]) == (-1.0, 0.0)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from iterflow.errors import KindAbsentError
@@ -79,8 +81,9 @@ class TestGenerateTrace:
             generate_trace(spec, (1.0, 0.0, 0.0), 3, seed=1)
 
     def test_frequencies_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            generate_trace(three_kind_spec(), (0.5, 0.4, 0.2), 3, seed=1)
+        for frequencies in ((0.5, 0.4, 0.2), (math.nan, 1.0, 1.0)):
+            with pytest.raises(ValueError, match="summing to 1"):
+                generate_trace(three_kind_spec(), frequencies, 3, seed=1)
 
 
 class TestSimulate:

@@ -81,6 +81,15 @@ class TestParse:
         with pytest.raises(WorkflowSyntaxError):
             parse_workflow("{nope")
 
+    @pytest.mark.parametrize("text, match", [
+        ("[" * 100_000, "not valid JSON: maximum recursion depth"),
+        # How many digits int() accepts varies by interpreter.
+        ('{"version": ' + "1" * 5000 + ', "nodes": [], "outputs": []}', None),
+    ], ids=["deep-nesting", "huge-integer"])
+    def test_json_the_decoder_cannot_hold_is_a_syntax_error(self, text, match):
+        with pytest.raises(WorkflowSyntaxError, match=match):
+            parse_workflow(text)
+
     def test_unknown_key_rejected(self):
         nodes = [node_doc("x", retries=3)]
         with pytest.raises(WorkflowSyntaxError) as err:
