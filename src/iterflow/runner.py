@@ -115,29 +115,23 @@ class RunReport:
 
 
 def _node_cost(node: OperatorNode, history: HistoryRecord | None) -> CostRecord:
-    """The costs of one node, given its name's recorded history.
+    """The costs of one node.
 
-    The load estimate is the node name's moving average of observed loads,
-    else its output size over disk bandwidth; it is finite whether or not
-    the node is cached.  Compute time and output size come from the
-    declaration for simulated actions; for commands, from the recorded
-    history of the node name, with a flat default before anything was ever
-    measured.
+    A simulated action is costed from its declaration alone, on either
+    clock, loading at its declared size over disk bandwidth.  A command is
+    costed from its name's measured history, loading at the moving average
+    of its observed loads, else at its measured size over disk bandwidth;
+    before its first measurement it gets a flat default compute time.
     """
     if isinstance(node.action, SimulatedAction):
-        compute = node.action.compute_seconds
         nbytes = node.action.output_bytes
-    elif history is not None:
-        compute = history.compute_seconds
-        nbytes = history.output_bytes
-    else:
-        compute = DEFAULT_COMPUTE_SECONDS
-        nbytes = 0
-    if history is not None and history.load_seconds is not None:
-        load = history.load_seconds
-    else:
-        load = nbytes / DISK_BANDWIDTH
-    return CostRecord(compute, load, nbytes)
+        return CostRecord(node.action.compute_seconds, nbytes / DISK_BANDWIDTH, nbytes)
+    if history is None:
+        return CostRecord(DEFAULT_COMPUTE_SECONDS, 0.0, 0)
+    load = history.load_seconds
+    if load is None:
+        load = history.output_bytes / DISK_BANDWIDTH
+    return CostRecord(history.compute_seconds, load, history.output_bytes)
 
 
 def build_costs(spec: WorkflowSpec, manifest: CacheManifest) -> dict[str, CostRecord]:
@@ -221,7 +215,7 @@ class _Executor:
         self.workspace = Path(workspace).resolve()
         self.scratch = (store.root / "scratch").resolve()
         self.simulated = config.clock_mode == CLOCK_SIMULATED
-        # Updated with measured costs as operators finish; the plan keeps its own.
+        # Updated with measured costs as commands finish; the plan keeps its own.
         self.costs = dict(ctx.costs)
         self.available: set[str] = set()
         self.records: dict[str, NodeRunRecord] = {}
@@ -254,7 +248,8 @@ class _Executor:
             self.forget(node.name, f"load failed ({exc})")
             return False
         rec.wall_seconds = observed
-        self.store.record_load(node.name, observed)
+        if isinstance(node.action, CommandAction):
+            self.store.record_load(node.name, observed)
         self.available.add(node.name)
         return True
 
@@ -303,12 +298,9 @@ class _Executor:
         if payload is None:
             return
         self.available.add(node.name)
-        if isinstance(node.action, SimulatedAction):
-            cost_bytes = node.action.output_bytes
-        else:
-            cost_bytes = len(payload)
-        self.store.record_costs(node.name, rec.wall_seconds, cost_bytes)
-        self.costs[node.name] = _node_cost(node, self.store.manifest.cost_history[node.name])
+        if isinstance(node.action, CommandAction):
+            self.store.record_costs(node.name, rec.wall_seconds, len(payload))
+            self.costs[node.name] = _node_cost(node, self.store.manifest.cost_history[node.name])
         sig = self.ctx.signatures[node.name]
         if sig in self.store.manifest.entries:
             return  # already persisted under this signature; nothing to decide

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import KindAbsentError
-from .runner import CLOCK_SIMULATED, RunConfig, RunReport, run_iteration
+from .runner import CLOCK_SIMULATED, RunConfig, run_iteration
 from .workflow import KINDS, WorkflowSpec, serialize_workflow
 
 DEFAULT_KIND_FREQUENCIES = (0.4, 0.4, 0.2)  # configurable stand-in, not a measurement
@@ -110,7 +110,6 @@ class IterationRow:
 class SimulationResult:
     policy: str
     rows: list[IterationRow]
-    reports: list[RunReport]
 
     @property
     def cumulative_seconds(self) -> float:
@@ -139,7 +138,6 @@ def simulate(
     trace: IterationTrace,
     policy_name: str = "engine",
     budget_bytes: int | None = None,
-    workdir: Path | str | None = None,
 ) -> SimulationResult:
     """Run the whole trace under one policy in a scratch environment."""
     config = RunConfig(
@@ -148,21 +146,17 @@ def simulate(
         policy_name=policy_name,
     )
     with tempfile.TemporaryDirectory(prefix="iterflow-sim-") as scratch:
-        base = Path(workdir) if workdir is not None else Path(scratch)
-        workspace = base / f"ws-{policy_name}"
-        cache_root = base / f"cache-{policy_name}"
-        workspace.mkdir(parents=True, exist_ok=True)
+        workspace = Path(scratch)
+        cache_root = workspace / ".iterflow"
         write_source_stubs(spec, workspace)
         spec_path = workspace / "workflow.json"
 
         current = spec
         rows: list[IterationRow] = []
-        reports: list[RunReport] = []
         for i, step in enumerate(trace.steps, start=1):
             current = apply_step(current, step)
             spec_path.write_text(serialize_workflow(current), encoding="utf-8")
             report = run_iteration(spec_path, workspace, cache_root, config)
-            reports.append(report)
             rows.append(IterationRow(
                 iteration=i,
                 kind=step.kind,
@@ -170,7 +164,7 @@ def simulate(
                 seconds=report.total_seconds,
                 cumulative_seconds=report.cumulative_seconds,
             ))
-        return SimulationResult(policy=policy_name, rows=rows, reports=reports)
+        return SimulationResult(policy=policy_name, rows=rows)
 
 
 def format_table(results: Iterable[SimulationResult]) -> str:

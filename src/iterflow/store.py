@@ -12,8 +12,8 @@ Layout under the cache root:
 The manifest carries three things: the entry index (signature -> payload
 metadata), the signature map of the last fully successful run, and a
 per-node cost history used for planning estimates.  The store keeps those
-costs but measures none of them: the executor reports every compute and
-load duration through record_costs() and record_load().
+costs but measures none of them: the executor reports each command's
+compute and load durations through record_costs() and record_load().
 
 A put writes its payload under tmp/, fsyncs it, renames it into objects/
 and fsyncs every directory that changed; only then does it append one line
@@ -43,6 +43,7 @@ from typing import Callable, Iterator
 
 from .changes import HASH_ALGORITHM
 from .errors import (
+    CacheError,
     CacheLockedError,
     CorruptEntryError,
     EntryNotFoundError,
@@ -83,7 +84,7 @@ class CacheEntry:
 
 @dataclass
 class HistoryRecord:
-    """Last known costs for a node name, surviving payload eviction."""
+    """Last measured costs of a command, by node name; outlives its payloads."""
 
     compute_seconds: float
     # Moving average over loads of any signature; None until one was observed.
@@ -158,12 +159,32 @@ def _read_journal(root: Path) -> tuple[list[CacheEntry], int]:
     return entries, good
 
 
+def _records(path: Path, doc: dict, key: str, build: Callable) -> dict:
+    """``doc[key]``, an object of objects, each value built by ``build(name,
+    raw)``; a CacheError naming ``path`` when it is malformed."""
+    table = doc.get(key, {})
+    try:
+        if type(table) is dict and all(type(raw) is dict for raw in table.values()):
+            return {name: build(name, raw) for name, raw in table.items()}
+    except TypeError as exc:  # an unknown or a missing key
+        raise CacheError(f"{path}: {key}: {exc}") from None
+    raise CacheError(f"{path}: {key} is not an object of objects")
+
+
+def _entry(sig: str, raw: dict) -> CacheEntry:
+    for key in _RETIRED_ENTRY_KEYS:
+        raw.pop(key, None)
+    return CacheEntry(signature=sig, **raw)
+
+
 def _read_manifest_file(root: Path) -> CacheManifest:
     path = _manifest_path(root)
     try:
         doc = json.loads(path.read_text("utf-8"))
     except FileNotFoundError:
         return CacheManifest()
+    if type(doc) is not dict:
+        raise CacheError(f"{path}: not a JSON object")
     version = doc.get("format_version")
     if not isinstance(version, int) or version > MANIFEST_VERSION:
         raise VersionMismatchError(version, MANIFEST_VERSION)
@@ -173,20 +194,12 @@ def _read_manifest_file(root: Path) -> CacheManifest:
             root, doc.get("hash_algorithm"), HASH_ALGORITHM,
         )
         return CacheManifest()
-    entries = {}
-    for sig, raw in doc.get("entries", {}).items():
-        for key in _RETIRED_ENTRY_KEYS:
-            raw.pop(key, None)
-        entries[sig] = CacheEntry(signature=sig, **raw)
-    history = {
-        name: HistoryRecord(**raw) for name, raw in doc.get("cost_history", {}).items()
-    }
     return CacheManifest(
         format_version=version,
         hash_algorithm=HASH_ALGORITHM,
-        entries=entries,
+        entries=_records(path, doc, "entries", _entry),
         previous_signatures=dict(doc.get("previous_signatures", {})),
-        cost_history=history,
+        cost_history=_records(path, doc, "cost_history", lambda _, raw: HistoryRecord(**raw)),
     )
 
 

@@ -9,10 +9,16 @@ import pytest
 import iterflow
 from iterflow import cli
 from iterflow.cli import main
-from iterflow.runner import RunConfig, CLOCK_SIMULATED, run_iteration
+from iterflow.changes import HASH_ALGORITHM
+from iterflow.runner import DISK_BANDWIDTH, RunConfig, CLOCK_SIMULATED, run_iteration
+from iterflow.store import load_manifest
 from iterflow.workflow import serialize_workflow
 
 from conftest import chain_spec, tree_hash, write_sources
+
+
+GOOD_ENTRY = {"node_name": "a", "payload_path": "objects/aa/aa.bin", "output_bytes": 1,
+              "measured_compute_seconds": 1.0, "charged_bytes": 1}
 
 
 @pytest.fixture
@@ -157,6 +163,49 @@ class TestRun:
         assert upper.read_bytes() == cold
 
 
+    def test_simulated_operator_keeps_its_declared_load_on_the_real_clock(
+            self, env, capsys):
+        ws, cache = env
+        (ws / "data").mkdir()
+        (ws / "data" / "in.txt").write_text("hello\n")
+        path = ws / "workflow.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "nodes": [
+                {"name": "raw", "kind": "ml",
+                 "action": {"type": "command", "argv": ["sh", "-c", "cat data/in.txt > {output}"],
+                            "output": "out/raw.txt"},
+                 "parents": [], "sources": ["data/in.txt"]},
+                {"name": "stub", "kind": "ml",
+                 "action": {"type": "simulated", "compute_seconds": 1.0, "output_bytes": 1000},
+                 "parents": [], "sources": ["data/in.txt"]},
+                {"name": "upper", "kind": "ml",
+                 "action": {"type": "command",
+                            "argv": ["sh", "-c",
+                                     "cat {parent:raw} {parent:stub} | tr a-z A-Z > {output}"],
+                            "output": "out/upper.txt"},
+                 "parents": ["raw", "stub"], "sources": []},
+            ],
+            "outputs": ["upper", "stub"],
+        }))
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "run", *common(path, ws, cache, "--json"))
+            assert code == 0, err
+        warm = json.loads(out)["nodes"]
+        assert warm["stub"]["state"] == warm["upper"]["state"] == "load"
+
+        code, out, err = run_cli(capsys, "plan", *common(path, ws, cache, "--json"))
+        assert code == 0, err
+        assert json.loads(out)["costs"]["stub"]["load_seconds"] == 1000 / DISK_BANDWIDTH
+        history = load_manifest(cache).cost_history
+        assert set(history) == {"raw", "upper"}
+        upper = ws / "out" / "upper.txt"
+        assert history["upper"].output_bytes == upper.stat().st_size
+        assert history["upper"].load_seconds == warm["upper"]["wall_seconds"]
+        assert history["raw"].output_bytes == len("hello\n")
+        assert history["raw"].load_seconds is None
+
+
 def test_import_does_not_load_numpy():
     # numpy serves only the brute-force oracle; every CLI command would pay
     # for importing it otherwise.
@@ -273,6 +322,29 @@ class TestCache:
         code, out, _ = run_cli(capsys, "cache", "gc", "--cache", str(cache))
         assert code == 0
         assert out.splitlines() == [f"removed\t{'aa' * 6}", "entries_remaining\t1"]
+
+    @pytest.mark.parametrize("doc, why", [
+        ([], "not a JSON object"),
+        ({"entries": []}, "entries is not an object of objects"),
+        ({"entries": {"aa": 3}}, "entries is not an object of objects"),
+        ({"cost_history": "a"}, "cost_history is not an object of objects"),
+        ({"cost_history": {"a": [1.0]}}, "cost_history is not an object of objects"),
+        ({"entries": {"aa": {**GOOD_ENTRY, "colour": "red"}}}, "colour"),
+        ({"entries": {"aa": {k: v for k, v in GOOD_ENTRY.items() if k != "payload_path"}}},
+         "payload_path"),
+        ({"cost_history": {"a": {"compute_seconds": 1.0, "colour": "red"}}}, "colour"),
+        ({"cost_history": {"a": {"load_seconds": 1.0}}}, "compute_seconds"),
+    ])
+    def test_malformed_manifest_exits_two_and_names_the_file(self, env, capsys, doc, why):
+        ws, cache = env
+        cache.mkdir()
+        if isinstance(doc, dict):
+            doc = {"format_version": 1, "hash_algorithm": HASH_ALGORITHM, **doc}
+        (cache / "manifest.json").write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "cache", "ls", "--cache", str(cache))
+        assert code == 2
+        assert err.startswith(f"error: {cache / 'manifest.json'}: ")
+        assert why in err
 
     def test_gc_on_locked_cache_exits_three(self, env, capsys):
         ws, cache = env

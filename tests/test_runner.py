@@ -178,19 +178,31 @@ class TestSimulatedRuns:
         assert report.materialize_seconds == 0.0
 
     def test_planner_reads_the_per_name_load_average(self, env):
+        # Only commands keep a per-name load average; see TestDeclaredCosts
+        # for simulated operators.
         ws, cache = env
-        spec = chain_spec("a")
-        path = deploy(spec, ws)
+        (ws / "data").mkdir()
+        (ws / "data" / "in.txt").write_text("x")
+        spec = parse_workflow(json.dumps({
+            "version": 1,
+            "nodes": [{"name": "a", "kind": "ml",
+                       "action": {"type": "command", "argv": ["sh", "-c", "echo a > {output}"],
+                                  "output": "out/a.txt"},
+                       "parents": [], "sources": ["data/in.txt"]}],
+            "outputs": ["a"],
+        }))
+        path = ws / "workflow.json"
         for version in ("v1", "v2"):
             edited = spec.replace_node(
                 dataclasses.replace(spec.node("a"), env_fingerprint=version)
             )
             path.write_text(serialize_workflow(edited))
-            run_iteration(path, ws, cache, sim_config())
+            assert run_iteration(path, ws, cache, RunConfig()).nodes["a"].materialized
         with CacheStore(cache) as store:
+            store.record_costs("a", 1.0, 2)
             store.record_load("a", 2.5)
             store.record_load("a", 0.5)
-        ctx = prepare(path.read_text(), ws, load_manifest(cache), sim_config())
+        ctx = prepare(path.read_text(), ws, load_manifest(cache), RunConfig())
         # The last load took 0.5 s, cheaper than the 1 s compute; the name's
         # average is 1.5 s, so the planner computes.
         assert ctx.cached == {"a"}
@@ -665,3 +677,43 @@ class TestRecomputeChainsInRuns:
             oracle = recompute_chain_micros(node, costs, parents)
             check_r_value(r, oracle - 2 * _micros(costs[node].load_seconds))
         assert (decided["d"][0], decided["e"][0]) == (-1.0, 0.0)
+
+
+class TestDeclaredCosts:
+    def test_raised_output_size_reaches_plan_policy_and_report(self, env):
+        # a computes in 15 s: its 10 s load at 1 GB beats recomputing it,
+        # but is not worth a write under `engine` (15 s < 2 * 10 s).
+        ws, cache = env
+        spec = sim_spec([sim_node("a", compute_seconds=15.0, output_bytes=1000)],
+                        outputs=("a",))
+        path = deploy(spec, ws)
+        run_iteration(path, ws, cache, sim_config())
+        warm = run_iteration(path, ws, cache, sim_config())
+        assert warm.nodes["a"].state == "load"
+        assert warm.load_seconds == 1000 / runner.DISK_BANDWIDTH
+
+        big = dataclasses.replace(spec.node("a").action, output_bytes=10**9)
+        spec = spec.replace_node(dataclasses.replace(spec.node("a"), action=big))
+        path.write_text(serialize_workflow(spec))
+        ctx = prepare(path.read_text(), ws, load_manifest(cache), sim_config())
+        assert ctx.costs["a"].load_seconds == 10**9 / runner.DISK_BANDWIDTH
+
+        recompute = run_iteration(path, ws, cache, sim_config())
+        assert recompute.nodes["a"].state == "compute"
+        assert not recompute.nodes["a"].materialized
+        forced = run_iteration(path, ws, cache, sim_config(policy_name="materialize-all"))
+        assert forced.nodes["a"].materialized
+        report = run_iteration(path, ws, cache, sim_config())
+        assert report.nodes["a"].state == "load"
+        assert report.load_seconds == 10**9 / runner.DISK_BANDWIDTH
+
+    def test_simulated_runs_keep_no_cost_history(self, env):
+        ws, cache = env
+        spec = chain_spec("a", "b", "c")
+        path = deploy(spec, ws)
+        run_iteration(path, ws, cache, sim_config())
+        edited = spec.replace_node(dataclasses.replace(spec.node("c"), env_fingerprint="v2"))
+        path.write_text(serialize_workflow(edited))
+        report = run_iteration(path, ws, cache, sim_config())
+        assert report.nodes["b"].state == "load"
+        assert load_manifest(cache).cost_history == {}
