@@ -139,20 +139,16 @@ def cmd_cache(args) -> int:
     root = _cache_root(args)
     if args.cache_cmd == "ls":
         manifest = load_manifest(root)
-        print("signature\tnode\tbytes\tcompute_s\tload_s")
-        for sig in sorted(manifest.entries):
-            entry = manifest.entries[sig]
-            history = manifest.cost_history.get(entry.node_name)
-            load = "-" if history is None or history.load_seconds is None \
-                else f"{history.load_seconds:.6f}"
+        print("signature\tnode\tbytes\tcompute_s")
+        for sig, entry in sorted(manifest.entries.items()):
             print(f"{sig[:12]}\t{entry.node_name}\t{entry.output_bytes}"
-                  f"\t{entry.measured_compute_seconds:.6f}\t{load}")
+                  f"\t{entry.measured_compute_seconds:.6f}")
         return EXIT_OK
     with CacheStore(root) as store:
         removed = store.gc(keep_latest=args.keep_latest)
     for sig in removed:
         print(f"removed\t{sig[:12]}")
-    print(f"entries_remaining\t{len(load_manifest(root).entries)}")
+    print(f"entries_remaining\t{len(store.manifest.entries)}")
     return EXIT_OK
 
 

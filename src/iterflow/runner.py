@@ -51,6 +51,8 @@ CLOCK_SIMULATED = "simulated"
 DISK_BANDWIDTH = 100e6  # bytes per second, used to estimate load times
 # Planning cost of a command operator that was never measured.
 DEFAULT_COMPUTE_SECONDS = 1.0
+# Weight of the newest observation in a command's moving load average.
+_LOAD_EMA_ALPHA = 0.5
 
 
 @dataclass
@@ -138,6 +140,15 @@ def build_costs(spec: WorkflowSpec, manifest: CacheManifest) -> dict[str, CostRe
     """Per-node costs, shared by the planner and the materialization policy."""
     return {node.name: _node_cost(node, manifest.cost_history.get(node.name))
             for node in spec.nodes}
+
+
+def record_load(history: Mapping[str, HistoryRecord], name: str, seconds: float) -> None:
+    """Fold one observed load into ``name``'s moving average; a name with no
+    history row gets none."""
+    row = history.get(name)
+    if row is not None:
+        row.load_seconds = seconds if row.load_seconds is None else (
+            _LOAD_EMA_ALPHA * seconds + (1.0 - _LOAD_EMA_ALPHA) * row.load_seconds)
 
 
 @dataclass
@@ -249,7 +260,7 @@ class _Executor:
             return False
         rec.wall_seconds = observed
         if isinstance(node.action, CommandAction):
-            self.store.record_load(node.name, observed)
+            record_load(self.store.manifest.cost_history, node.name, observed)
         self.available.add(node.name)
         return True
 
@@ -299,8 +310,13 @@ class _Executor:
             return
         self.available.add(node.name)
         if isinstance(node.action, CommandAction):
-            self.store.record_costs(node.name, rec.wall_seconds, len(payload))
-            self.costs[node.name] = _node_cost(node, self.store.manifest.cost_history[node.name])
+            # The new measurement replaces the old; the load average survives.
+            history = self.store.manifest.cost_history
+            old = history.get(node.name)
+            history[node.name] = row = HistoryRecord(
+                compute_seconds=rec.wall_seconds, output_bytes=len(payload),
+                load_seconds=old.load_seconds if old else None)
+            self.costs[node.name] = _node_cost(node, row)
         sig = self.ctx.signatures[node.name]
         if sig in self.store.manifest.entries:
             return  # already persisted under this signature; nothing to decide

@@ -8,12 +8,15 @@ Layout under the cache root:
     tmp/                                            writes in flight
     runs.log                                        one JSON report per line
     .lock                                           advisory writer lock
+    scratch/<node>.bin                              real-clock outputs of simulated
+                                                    operators; the runner writes
+                                                    them, gc() leaves them, and
+                                                    they may go between runs
 
 The manifest carries three things: the entry index (signature -> payload
 metadata), the signature map of the last fully successful run, and a
-per-node cost history used for planning estimates.  The store keeps those
-costs but measures none of them: the executor reports each command's
-compute and load durations through record_costs() and record_load().
+per-command cost history.  The store only persists that history; the
+runner alone reads it into estimates and writes measurements into it.
 
 A put writes its payload under tmp/, fsyncs it, renames it into objects/
 and fsyncs every directory that changed; only then does it append one line
@@ -37,6 +40,7 @@ import fcntl
 import json
 import logging
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
@@ -53,9 +57,6 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 MANIFEST_VERSION = 1
-
-# Exponential moving average weight for observed load times.
-_LOAD_EMA_ALPHA = 0.5
 
 # Entry keys older manifests wrote and this version drops when reading.
 _RETIRED_ENTRY_KEYS = ("measured_load_seconds", "created_at")
@@ -159,16 +160,64 @@ def _read_journal(root: Path) -> tuple[list[CacheEntry], int]:
     return entries, good
 
 
-def _records(path: Path, doc: dict, key: str, build: Callable) -> dict:
+_MAX_FLOAT = sys.float_info.max
+
+
+def _is_count(value: object) -> bool:
+    return type(value) is int and value >= 0  # exact, as in the spec parser: no bool
+
+
+def _is_duration(value: object) -> bool:
+    # NaN fails the comparison; the bound rejects infinities.
+    return (type(value) is float or type(value) is int) and 0 <= value <= _MAX_FLOAT
+
+
+# Straight-line checks, not a loop over a table of field types: every plan
+# and run opens the manifest, and on 400 entries such a loop cost about three
+# times as much as these.
+def _entry_fault(entry: CacheEntry) -> str | None:
+    """Which value of ``entry`` has the wrong type, if any."""
+    if type(entry.node_name) is not str:
+        return "node_name is not a string"
+    if type(entry.payload_path) is not str:
+        return "payload_path is not a string"
+    if not _is_count(entry.output_bytes):
+        return "output_bytes is not an integer >= 0"
+    if not _is_count(entry.charged_bytes):
+        return "charged_bytes is not an integer >= 0"
+    if not _is_duration(entry.measured_compute_seconds):
+        return "measured_compute_seconds is not a finite number >= 0"
+    return None
+
+
+def _history_fault(row: HistoryRecord) -> str | None:
+    """Which value of ``row`` has the wrong type, if any."""
+    if not _is_duration(row.compute_seconds):
+        return "compute_seconds is not a finite number >= 0"
+    if not (row.load_seconds is None or _is_duration(row.load_seconds)):
+        return "load_seconds is neither null nor a finite number >= 0"
+    if not _is_count(row.output_bytes):
+        return "output_bytes is not an integer >= 0"
+    return None
+
+
+def _records(path: Path, doc: dict, key: str, build: Callable, fault: Callable) -> dict:
     """``doc[key]``, an object of objects, each value built by ``build(name,
-    raw)``; a CacheError naming ``path`` when it is malformed."""
+    raw)``; a CacheError naming ``path`` when it is malformed or ``fault``
+    finds a value of the wrong type in a record."""
     table = doc.get(key, {})
-    try:
-        if type(table) is dict and all(type(raw) is dict for raw in table.values()):
-            return {name: build(name, raw) for name, raw in table.items()}
-    except TypeError as exc:  # an unknown or a missing key
-        raise CacheError(f"{path}: {key}: {exc}") from None
-    raise CacheError(f"{path}: {key} is not an object of objects")
+    if not (type(table) is dict and all(type(raw) is dict for raw in table.values())):
+        raise CacheError(f"{path}: {key} is not an object of objects")
+    records = {}
+    for name, raw in table.items():
+        try:
+            records[name] = record = build(name, raw)
+        except TypeError as exc:  # an unknown or a missing key
+            raise CacheError(f"{path}: {key}: {exc}") from None
+        why = fault(record)
+        if why is not None:
+            raise CacheError(f"{path}: {key}.{name}.{why}")
+    return records
 
 
 def _entry(sig: str, raw: dict) -> CacheEntry:
@@ -183,10 +232,12 @@ def _read_manifest_file(root: Path) -> CacheManifest:
         doc = json.loads(path.read_text("utf-8"))
     except FileNotFoundError:
         return CacheManifest()
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON
+        raise CacheError(f"{path}: not valid JSON: {exc}") from None
     if type(doc) is not dict:
         raise CacheError(f"{path}: not a JSON object")
     version = doc.get("format_version")
-    if not isinstance(version, int) or version > MANIFEST_VERSION:
+    if type(version) is not int or version > MANIFEST_VERSION:
         raise VersionMismatchError(version, MANIFEST_VERSION)
     if doc.get("hash_algorithm") != HASH_ALGORITHM:
         logger.warning(
@@ -194,12 +245,16 @@ def _read_manifest_file(root: Path) -> CacheManifest:
             root, doc.get("hash_algorithm"), HASH_ALGORITHM,
         )
         return CacheManifest()
+    previous = doc.get("previous_signatures", {})
+    if not (type(previous) is dict and all(type(sig) is str for sig in previous.values())):
+        raise CacheError(f"{path}: previous_signatures is not an object of strings")
     return CacheManifest(
         format_version=version,
         hash_algorithm=HASH_ALGORITHM,
-        entries=_records(path, doc, "entries", _entry),
-        previous_signatures=dict(doc.get("previous_signatures", {})),
-        cost_history=_records(path, doc, "cost_history", lambda _, raw: HistoryRecord(**raw)),
+        entries=_records(path, doc, "entries", _entry, _entry_fault),
+        previous_signatures=previous,
+        cost_history=_records(path, doc, "cost_history",
+                              lambda _, raw: HistoryRecord(**raw), _history_fault),
     )
 
 
@@ -422,27 +477,6 @@ class CacheStore:
                 f"size mismatch: manifest says {entry.output_bytes}, file has {len(payload)}",
             )
         return payload
-
-    def record_costs(self, node_name: str, compute_seconds: float,
-                     output_bytes: int) -> None:
-        """Write back the latest measured compute cost for a node name."""
-        assert self.writable, "read-only store"
-        history = self.manifest.cost_history.get(node_name)
-        load = history.load_seconds if history else None
-        self.manifest.cost_history[node_name] = HistoryRecord(
-            compute_seconds=compute_seconds,
-            load_seconds=load,
-            output_bytes=output_bytes,
-        )
-
-    def record_load(self, node_name: str, seconds: float) -> None:
-        """Fold one load duration into the node name's moving average."""
-        assert self.writable, "read-only store"
-        history = self.manifest.cost_history.get(node_name)
-        if history is not None:
-            previous = history.load_seconds
-            history.load_seconds = seconds if previous is None else (
-                _LOAD_EMA_ALPHA * seconds + (1.0 - _LOAD_EMA_ALPHA) * previous)
 
     # -- maintenance ---------------------------------------------------
 

@@ -285,7 +285,7 @@ class TestCache:
         ws, cache = env
         code, out, _ = run_cli(capsys, "cache", "ls", "--cache", str(cache))
         assert code == 0
-        assert out.splitlines() == ["signature\tnode\tbytes\tcompute_s\tload_s"]
+        assert out.splitlines() == ["signature\tnode\tbytes\tcompute_s"]
 
     def test_gc_keep_latest(self, env, capsys):
         ws, cache = env
@@ -334,17 +334,42 @@ class TestCache:
          "payload_path"),
         ({"cost_history": {"a": {"compute_seconds": 1.0, "colour": "red"}}}, "colour"),
         ({"cost_history": {"a": {"load_seconds": 1.0}}}, "compute_seconds"),
+        ({"previous_signatures": "x"}, "previous_signatures is not an object of strings"),
+        ({"entries": {"aa": {**GOOD_ENTRY, "measured_compute_seconds": "x"}}},
+         "entries.aa.measured_compute_seconds is not a finite number >= 0"),
+        ('{"format_version": 1, "entries": {"aa": {"node_', "not valid JSON"),
     ])
     def test_malformed_manifest_exits_two_and_names_the_file(self, env, capsys, doc, why):
         ws, cache = env
         cache.mkdir()
         if isinstance(doc, dict):
             doc = {"format_version": 1, "hash_algorithm": HASH_ALGORITHM, **doc}
-        (cache / "manifest.json").write_text(json.dumps(doc))
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        (cache / "manifest.json").write_text(text)
         code, out, err = run_cli(capsys, "cache", "ls", "--cache", str(cache))
         assert code == 2
         assert err.startswith(f"error: {cache / 'manifest.json'}: ")
         assert why in err
+
+    def test_mistyped_cost_history_fails_plan_with_exit_two(self, env, capsys):
+        ws, cache = env
+        (ws / "workflow.json").write_text(json.dumps({
+            "version": 1,
+            "nodes": [{"name": "a", "kind": "ml",
+                       "action": {"type": "command", "argv": ["true"], "output": "a.txt"},
+                       "parents": [], "sources": ["in.txt"]}],
+            "outputs": ["a"],
+        }))
+        (ws / "in.txt").write_text("x")
+        cache.mkdir()
+        (cache / "manifest.json").write_text(json.dumps({
+            "format_version": 1, "hash_algorithm": HASH_ALGORITHM,
+            "cost_history": {"a": {"compute_seconds": "slow"}},
+        }))
+        code, out, err = run_cli(capsys, "plan", *common(ws / "workflow.json", ws, cache))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {cache / 'manifest.json'}: cost_history.a.compute_seconds")
 
     def test_gc_on_locked_cache_exits_three(self, env, capsys):
         ws, cache = env

@@ -24,7 +24,7 @@ from iterflow.runner import (
     run_iteration,
 )
 from iterflow.policy import EnginePolicy, StorageBudget
-from iterflow.store import CacheStore, load_manifest
+from iterflow.store import CacheStore, HistoryRecord, load_manifest
 from iterflow.workflow import parse_workflow, serialize_workflow
 
 from conftest import (
@@ -199,9 +199,10 @@ class TestSimulatedRuns:
             path.write_text(serialize_workflow(edited))
             assert run_iteration(path, ws, cache, RunConfig()).nodes["a"].materialized
         with CacheStore(cache) as store:
-            store.record_costs("a", 1.0, 2)
-            store.record_load("a", 2.5)
-            store.record_load("a", 0.5)
+            history = store.manifest.cost_history
+            history["a"] = HistoryRecord(compute_seconds=1.0, output_bytes=2)
+            runner.record_load(history, "a", 2.5)
+            runner.record_load(history, "a", 0.5)
         ctx = prepare(path.read_text(), ws, load_manifest(cache), RunConfig())
         # The last load took 0.5 s, cheaper than the 1 s compute; the name's
         # average is 1.5 s, so the planner computes.

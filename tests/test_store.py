@@ -12,10 +12,12 @@ from iterflow.errors import (
     VersionMismatchError,
 )
 from iterflow import store as store_module
+from iterflow.runner import record_load
 from iterflow.store import (
     CacheEntry,
     CacheManifest,
     CacheStore,
+    HistoryRecord,
     load_manifest,
     save_manifest,
 )
@@ -67,13 +69,14 @@ class TestPutGet:
             with pytest.raises(CorruptEntryError):
                 store.get(SIG_A)
 
-    def test_load_time_moving_average(self, root):
-        with CacheStore(root) as store:
-            store.record_costs("node", 1.0, 4)
-            store.record_load("node", 4.0)
-            assert store.manifest.cost_history["node"].load_seconds == 4.0
-            store.record_load("node", 2.0)
-            assert store.manifest.cost_history["node"].load_seconds == 3.0
+    def test_load_time_moving_average(self):
+        history = {"node": HistoryRecord(compute_seconds=1.0, output_bytes=4)}
+        record_load(history, "node", 4.0)
+        assert history["node"].load_seconds == 4.0
+        record_load(history, "node", 2.0)
+        assert history["node"].load_seconds == 3.0
+        record_load(history, "other", 2.0)  # a name without history gets none
+        assert list(history) == ["node"]
 
 
 class TestManifest:
@@ -86,7 +89,7 @@ class TestManifest:
         with CacheStore(root) as store:
             store.put("node", SIG_A, b"abc", 2.5)
             store.manifest.previous_signatures = {"node": SIG_A}
-            store.record_costs("node", 2.5, 3)
+            store.manifest.cost_history["node"] = HistoryRecord(2.5, output_bytes=3)
         reloaded = load_manifest(root)
         assert reloaded.to_json() == load_manifest(root).to_json()
         assert reloaded.previous_signatures == {"node": SIG_A}
