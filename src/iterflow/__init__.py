@@ -25,7 +25,7 @@ from .policy import (
 )
 from .runner import RunConfig, RunReport, execute, prepare, run_iteration
 from .simulator import IterationTrace, generate_trace, simulate
-from .store import CacheManifest, CacheStore, load_manifest, save_manifest
+from .store import CacheManifest, CacheStore, load_manifest
 from .workflow import (
     CommandAction,
     OperatorNode,
@@ -71,7 +71,6 @@ __all__ = [
     "prune_dead_operators",
     "r_value",
     "run_iteration",
-    "save_manifest",
     "serialize_workflow",
     "simulate",
     "topological_order",

@@ -7,11 +7,16 @@ Layout under the cache root:
     manifest.journal                                entries put since manifest.json
     tmp/                                            writes in flight
     runs.log                                        one JSON report per line
-    .lock                                           advisory writer lock
+    .lock                                           advisory writer lock; holds
+                                                    the writer's PID, empty when
+                                                    no writer holds it
     scratch/<node>.bin                              real-clock outputs of simulated
                                                     operators; the runner writes
                                                     them, gc() leaves them, and
                                                     they may go between runs
+
+A payload's path follows from its signature alone; entries still write a
+``payload_path`` key for outside readers, and reading ignores it.
 
 The manifest carries three things: the entry index (signature -> payload
 metadata), the signature map of the last fully successful run, and a
@@ -24,11 +29,12 @@ to the journal and fsync it, so no entry ever references a payload that was
 not already durable.  A crash can thus leave three things, each with one
 handler: files in tmp/, which the next writable open deletes; a torn last
 journal line, which readers ignore and the next writable open cuts off; and
-payloads no entry references, which gc() deletes.  gc() is also the one full
-check of every entry; a payload damaged later fails its get(), and the
-executor then forgets the entry and plans again.  Readers replay the
-journal over manifest.json; closing a writable store compacts both into a
-fresh manifest.json and removes the journal.
+payloads no entry references, which gc() deletes.  A journal line that fails
+the entry checks of manifest.json can only be damage; it ends replay like a
+torn one.  gc() is also the one full check of every entry; a payload damaged
+later fails its get(), and the executor then forgets the entry and plans
+again.  Readers replay the journal over manifest.json; closing a writable
+store compacts both into a fresh manifest.json and removes the journal.
 
 One writer at a time per cache root, enforced with flock on ``.lock``;
 read-only opens take no lock and never modify anything.
@@ -40,6 +46,7 @@ import fcntl
 import json
 import logging
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,20 +65,28 @@ logger = logging.getLogger(__name__)
 
 MANIFEST_VERSION = 1
 
-# Entry keys older manifests wrote and this version drops when reading.
-_RETIRED_ENTRY_KEYS = ("measured_load_seconds", "created_at")
+# Entry keys dropped on read: payload_path is derived, the others retired.
+_IGNORED_ENTRY_KEYS = ("payload_path", "measured_load_seconds", "created_at")
+_SIGNATURE = re.compile("[0-9a-f]{64}")  # what compute_signatures emits
+
+
+def _payload_path(signature: str) -> str:  # relative to the cache root
+    return f"objects/{signature[:2]}/{signature}.bin"
 
 
 @dataclass
 class CacheEntry:
     signature: str
     node_name: str
-    payload_path: str  # relative to the cache root
     output_bytes: int  # actual payload file size
     measured_compute_seconds: float
     # Size charged against the storage budget; differs from output_bytes for
     # simulated operators, whose on-disk payload is a small stand-in.
     charged_bytes: int = 0
+
+    @property
+    def payload_path(self) -> str:
+        return _payload_path(self.signature)
 
     def to_json(self) -> dict:
         return {
@@ -142,7 +157,7 @@ def _read_journal(root: Path) -> tuple[list[CacheEntry], int]:
     that holds them.
 
     Each line is ``[signature, entry]``.  Reading stops at the first line
-    that is torn (no newline yet) or does not parse; nothing after it counts.
+    that is torn, does not parse or fails a check; nothing after it counts.
     """
     try:
         data = _journal_path(root).read_bytes()
@@ -153,9 +168,12 @@ def _read_journal(root: Path) -> tuple[list[CacheEntry], int]:
     while (end := data.find(b"\n", good)) >= 0:
         try:
             sig, raw = json.loads(data[good:end])
-            entries.append(CacheEntry(signature=sig, **raw))
-        except (ValueError, TypeError):
+            entry = _entry(sig, raw) if type(sig) is str and type(raw) is dict else None
+        except (ValueError, TypeError, RecursionError):
             break
+        if entry is None or _entry_fault(entry) is not None:
+            break
+        entries.append(entry)
         good = end + 1
     return entries, good
 
@@ -179,14 +197,14 @@ def _entry_fault(entry: CacheEntry) -> str | None:
     """Which value of ``entry`` has the wrong type, if any."""
     if type(entry.node_name) is not str:
         return "node_name is not a string"
-    if type(entry.payload_path) is not str:
-        return "payload_path is not a string"
     if not _is_count(entry.output_bytes):
         return "output_bytes is not an integer >= 0"
     if not _is_count(entry.charged_bytes):
         return "charged_bytes is not an integer >= 0"
     if not _is_duration(entry.measured_compute_seconds):
         return "measured_compute_seconds is not a finite number >= 0"
+    if not _SIGNATURE.fullmatch(entry.signature):  # keeps every payload in objects/
+        return "signature is not 64 lowercase hex digits"
     return None
 
 
@@ -221,7 +239,7 @@ def _records(path: Path, doc: dict, key: str, build: Callable, fault: Callable) 
 
 
 def _entry(sig: str, raw: dict) -> CacheEntry:
-    for key in _RETIRED_ENTRY_KEYS:
+    for key in _IGNORED_ENTRY_KEYS:
         raw.pop(key, None)
     return CacheEntry(signature=sig, **raw)
 
@@ -344,6 +362,7 @@ class CacheStore:
 
     def _release_lock(self) -> None:
         if self._lock_fd is not None:
+            os.ftruncate(self._lock_fd, 0)  # a released lock names no holder
             fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
             os.close(self._lock_fd)
             self._lock_fd = None
@@ -374,7 +393,7 @@ class CacheStore:
             _, good = _read_journal(self.root)
             torn = journal.stat().st_size - good
             if torn:
-                logger.warning("cutting a torn record (%d bytes) off %s", torn, journal)
+                logger.warning("cutting %d torn or damaged bytes off %s", torn, journal)
                 os.truncate(journal, good)
         tmp = self.root / "tmp"
         tmp.mkdir(exist_ok=True)
@@ -387,9 +406,6 @@ class CacheStore:
     def _checkpoint(self, stage: str) -> None:
         if self.fault_hook is not None:
             self.fault_hook(stage)
-
-    def _payload_path(self, signature: str) -> Path:
-        return self.root / "objects" / signature[:2] / f"{signature}.bin"
 
     def put(self, node_name: str, signature: str, payload: bytes,
             compute_seconds: float, charged_bytes: int | None = None) -> CacheEntry:
@@ -405,7 +421,7 @@ class CacheStore:
         if existing is not None:
             return existing
 
-        final = self._payload_path(signature)
+        final = self.root / _payload_path(signature)
         for directory in (final.parent.parent, final.parent):
             try:
                 directory.mkdir()
@@ -434,7 +450,6 @@ class CacheStore:
         entry = CacheEntry(
             signature=signature,
             node_name=node_name,
-            payload_path=str(final.relative_to(self.root)),
             output_bytes=len(payload),
             measured_compute_seconds=compute_seconds,
             charged_bytes=len(payload) if charged_bytes is None else charged_bytes,

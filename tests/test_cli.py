@@ -103,6 +103,43 @@ class TestRun:
         assert "boom" in err
         assert "skipped" in out
 
+    @pytest.mark.parametrize("argv, detail", [
+        (["iterflow-test-no-such-program"], "failed to start: "),
+        (["true"], "declared output 'out/a.txt' was not produced"),
+    ], ids=["missing-program", "no-output"])
+    def test_operator_without_output_fails_only_its_descendants(self, env, capsys,
+                                                                 argv, detail):
+        ws, cache = env
+        (ws / "data").mkdir()
+        (ws / "data" / "in.txt").write_text("x")
+        text = json.dumps({
+            "version": 1,
+            "nodes": [
+                {"name": "boom", "kind": "ml",
+                 "action": {"type": "command", "argv": argv, "output": "out/a.txt"},
+                 "parents": [], "sources": ["data/in.txt"]},
+                {"name": "after", "kind": "ml",
+                 "action": {"type": "command", "argv": ["sh", "-c", "cat {parent:boom} > {output}"],
+                            "output": "out/b.txt"},
+                 "parents": ["boom"], "sources": []},
+                {"name": "solo", "kind": "ml",
+                 "action": {"type": "command", "argv": ["sh", "-c", "echo ok > {output}"],
+                            "output": "out/c.txt"},
+                 "parents": [], "sources": ["data/in.txt"]},
+            ],
+            "outputs": ["after", "solo"],
+        })
+        path = ws / "workflow.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "run", *common(path, ws, cache), "--json")
+        assert code == 1
+        nodes = json.loads(out)["nodes"]
+        assert not nodes["boom"]["ok"] and nodes["boom"]["detail"].startswith(detail)
+        assert nodes["after"]["detail"] == "skipped: upstream failure of boom"
+        assert nodes["solo"]["ok"]
+        assert (ws / "out" / "c.txt").read_text() == "ok\n"
+        assert f"error: boom: {detail}" in err
+
     def test_negative_budget_exits_two(self, env, capsys):
         ws, cache = env
         path = deploy(chain_spec("a", "b"), ws)
@@ -330,14 +367,23 @@ class TestCache:
         ({"cost_history": "a"}, "cost_history is not an object of objects"),
         ({"cost_history": {"a": [1.0]}}, "cost_history is not an object of objects"),
         ({"entries": {"aa": {**GOOD_ENTRY, "colour": "red"}}}, "colour"),
-        ({"entries": {"aa": {k: v for k, v in GOOD_ENTRY.items() if k != "payload_path"}}},
-         "payload_path"),
+        ({"entries": {"../../x": GOOD_ENTRY}}, "signature is not 64 lowercase hex digits"),
         ({"cost_history": {"a": {"compute_seconds": 1.0, "colour": "red"}}}, "colour"),
         ({"cost_history": {"a": {"load_seconds": 1.0}}}, "compute_seconds"),
         ({"previous_signatures": "x"}, "previous_signatures is not an object of strings"),
         ({"entries": {"aa": {**GOOD_ENTRY, "measured_compute_seconds": "x"}}},
          "entries.aa.measured_compute_seconds is not a finite number >= 0"),
         ('{"format_version": 1, "entries": {"aa": {"node_', "not valid JSON"),
+        ({"entries": {"aa": {**GOOD_ENTRY, "node_name": 3}}},
+         "entries.aa.node_name is not a string"),
+        ({"entries": {"aa": {**GOOD_ENTRY, "output_bytes": -1}}},
+         "entries.aa.output_bytes is not an integer >= 0"),
+        ({"entries": {"aa": {**GOOD_ENTRY, "charged_bytes": True}}},
+         "entries.aa.charged_bytes is not an integer >= 0"),
+        ({"cost_history": {"a": {"compute_seconds": 1.0, "load_seconds": "x"}}},
+         "cost_history.a.load_seconds is neither null nor a finite number >= 0"),
+        ({"cost_history": {"a": {"compute_seconds": 1.0, "output_bytes": 1.5}}},
+         "cost_history.a.output_bytes is not an integer >= 0"),
     ])
     def test_malformed_manifest_exits_two_and_names_the_file(self, env, capsys, doc, why):
         ws, cache = env

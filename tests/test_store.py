@@ -62,6 +62,20 @@ class TestPutGet:
             with pytest.raises(EntryNotFoundError):
                 store.get(SIG_B)
 
+    def test_payload_path_on_disk_is_ignored(self, root, tmp_path):
+        with CacheStore(root) as store:
+            store.put("node", SIG_A, b"inside", 1.0)
+        outside = tmp_path / "outside.bin"
+        outside.write_bytes(b"EVIL!!")  # the same size as the payload
+        doc = json.loads((root / "manifest.json").read_text())
+        doc["entries"][SIG_A]["payload_path"] = str(outside)
+        (root / "manifest.json").write_text(json.dumps(doc))
+        with CacheStore(root) as store:
+            assert store.get(SIG_A) == b"inside"
+            assert store.gc() == []
+            assert store.get(SIG_A) == b"inside"
+        assert outside.read_bytes() == b"EVIL!!"
+
     def test_size_mismatch_is_corrupt(self, root):
         with CacheStore(root) as store:
             entry = store.put("node", SIG_A, b"12345678", 1.0)
@@ -115,6 +129,18 @@ class TestLocking:
             with pytest.raises(CacheLockedError) as err:
                 CacheStore(root)
             assert err.value.holder_pid == os.getpid()
+
+    def test_unreadable_holder_is_reported_as_unknown(self, root):
+        with CacheStore(root):
+            (root / ".lock").write_bytes(b"garbage\n")
+            with pytest.raises(CacheLockedError) as err:
+                CacheStore(root)
+            assert err.value.holder_pid is None
+
+    def test_closed_store_leaves_an_empty_lock_file(self, root):
+        with CacheStore(root):
+            assert (root / ".lock").read_bytes() == f"{os.getpid()}\n".encode()
+        assert (root / ".lock").read_bytes() == b""
 
     def test_lock_released_on_close(self, root):
         with CacheStore(root) as store:
@@ -269,6 +295,14 @@ def sig(i: int) -> str:
     return f"{i:064x}"
 
 
+def journal_line(signature, entry) -> bytes:
+    return json.dumps([signature, entry]).encode() + b"\n"
+
+
+JOURNAL_ENTRY = {"node_name": "c", "payload_path": f"objects/cc/{'cc' * 32}.bin",
+                 "output_bytes": 1, "measured_compute_seconds": 1.0, "charged_bytes": 1}
+
+
 def kill(store: CacheStore) -> None:
     """Drop a writable store the way a killed process would: no close()."""
     os.close(store._lock_fd)
@@ -299,7 +333,7 @@ class TestJournal:
                 path = f"objects/{sig(i)[:2]}/{sig(i)}.bin"
                 (cache / path).parent.mkdir(parents=True, exist_ok=True)
                 (cache / path).write_bytes(b"p")
-                manifest.entries[sig(i)] = CacheEntry(sig(i), "node", path, 1, 1.0, 1)
+                manifest.entries[sig(i)] = CacheEntry(sig(i), "node", 1, 1.0, 1)
             save_manifest(cache, manifest)
             store = CacheStore(cache)
             assert len(store.manifest.entries) == size
@@ -329,7 +363,7 @@ class TestJournal:
                 path = f"objects/{sig(i)[:2]}/{sig(i)}.bin"
                 (cache / path).parent.mkdir(parents=True, exist_ok=True)
                 (cache / path).write_bytes(b"p")
-                manifest.entries[sig(i)] = CacheEntry(sig(i), "node", path, 1, 1.0, 1)
+                manifest.entries[sig(i)] = CacheEntry(sig(i), "node", 1, 1.0, 1)
             save_manifest(cache, manifest)
             calls.clear()
             store = CacheStore(cache)
@@ -356,13 +390,19 @@ class TestJournal:
         assert set(store.manifest.entries) == {SIG_A}
         kill(store)
 
-    def test_replay_stops_at_the_first_line_that_does_not_parse(self, root):
+    @pytest.mark.parametrize("damaged", [
+        b"not json\n",
+        journal_line("cc" * 32, {**JOURNAL_ENTRY, "measured_compute_seconds": "x"}),
+        journal_line("../../x", JOURNAL_ENTRY),
+        journal_line("cc" * 32, "x"),
+    ], ids=["not-json", "mistyped-value", "non-hex-key", "non-object-entry"])
+    def test_replay_stops_at_the_first_line_that_does_not_parse(self, root, damaged):
         store = CacheStore(root)
         store.put("a", SIG_A, b"x", 1.0)
         store.put("b", SIG_B, b"y", 1.0)
         kill(store)
         first, second = self.journal(root).read_bytes().splitlines(keepends=True)
-        self.journal(root).write_bytes(first + b"not json\n" + second)
+        self.journal(root).write_bytes(first + damaged + second)
         assert set(load_manifest(root).entries) == {SIG_A}
         with CacheStore(root) as store:
             assert self.journal(root).read_bytes() == first
