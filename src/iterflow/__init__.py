@@ -34,7 +34,6 @@ from .workflow import (
     parse_workflow,
     prune_dead_operators,
     serialize_workflow,
-    topological_order,
 )
 
 __version__ = "0.1.0"
@@ -73,5 +72,4 @@ __all__ = [
     "run_iteration",
     "serialize_workflow",
     "simulate",
-    "topological_order",
 ]

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .errors import MissingSourceError
+from .errors import IterflowError
 from .workflow import WorkflowSpec
-
-HASH_ALGORITHM = "sha256"
 
 _CHUNK_BYTES = 1 << 20
 
@@ -34,14 +32,14 @@ def _file_digest(path: Path) -> bytes:
                     break
                 hasher.update(chunk)
     except FileNotFoundError:
-        raise MissingSourceError(str(path)) from None
+        raise IterflowError(f"declared source file is missing: {path}") from None
     return hasher.digest()
 
 
 def compute_signatures(spec: WorkflowSpec, workspace: Path | str) -> dict[str, str]:
     """Signature for every node; parents are hashed before children.
 
-    Raises MissingSourceError if a declared source file does not exist.
+    Raises IterflowError if a declared source file does not exist.
     """
     workspace = Path(workspace)
     by_name = spec.by_name

@@ -115,8 +115,6 @@ def cmd_diff(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.dry_run:
-        return cmd_plan(args)
     report = run_iteration(args.spec, args.workspace, _cache_root(args), _config(args))
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
@@ -169,10 +167,7 @@ def cmd_simulate(args) -> int:
         simulate(spec, trace, policy_name=name, budget_bytes=args.budget_bytes)
         for name in names
     ]
-    table = format_table(results)
-    sys.stdout.write(table)
-    if args.out:
-        Path(args.out).write_text(table, encoding="utf-8")
+    sys.stdout.write(format_table(results))
     return EXIT_OK
 
 
@@ -203,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--budget-bytes", type=_byte_count, default=None,
                        help="storage budget for new materializations (default: unlimited)")
     p_run.add_argument("--clock", default=CLOCK_REAL, choices=[CLOCK_REAL, CLOCK_SIMULATED])
-    p_run.add_argument("--dry-run", action="store_true",
-                       help="print the plan and exit without executing")
     p_run.set_defaults(func=cmd_run)
 
     p_plan = sub.add_parser("plan", help="show the execution plan without running")
@@ -235,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--frequencies", default=None,
                        help="edit-kind frequencies as three comma-separated numbers")
     p_sim.add_argument("--budget-bytes", type=_byte_count, default=None)
-    p_sim.add_argument("--out", default=None, help="also write the table to this file")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .errors import TooLargeError
+from .errors import IterflowError
 
 
 class NodeState(str, Enum):
@@ -420,7 +420,8 @@ def assign_states_bruteforce(
     names, mandatory_set, sink_set = _normalize(dag, costs, mandatory, sinks)
     n = len(names)
     if n > _BRUTEFORCE_LIMIT:
-        raise TooLargeError(n, _BRUTEFORCE_LIMIT)
+        raise IterflowError(
+            f"exhaustive search over {n} nodes exceeds the {_BRUTEFORCE_LIMIT}-node limit")
 
     compute_micros = np.array([_micros(costs[m].compute_seconds) for m in names],
                               dtype=np.int64)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import mmap
 import subprocess
 import time
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .changes import ChangeSet, compute_signatures, diff_iterations
-from .errors import CacheError, InvalidConfigError
+from .errors import CacheError, IterflowError
 from .planner import (
     CostRecord,
     ExecutionPlan,
@@ -176,12 +177,12 @@ def prepare(
     if config.clock_mode == CLOCK_SIMULATED:
         offenders = [n.name for n in spec.nodes if not isinstance(n.action, SimulatedAction)]
         if offenders:
-            raise InvalidConfigError(
+            raise IterflowError(
                 "simulated clock requires simulated actions; command operators: "
                 + ", ".join(sorted(offenders))
             )
     elif config.clock_mode != CLOCK_REAL:
-        raise InvalidConfigError(f"unknown clock mode {config.clock_mode!r}")
+        raise IterflowError(f"unknown clock mode {config.clock_mode!r}")
     signatures = compute_signatures(spec, workspace)
     changes = diff_iterations(manifest.previous_signatures, signatures)
     costs = build_costs(spec, manifest)
@@ -279,8 +280,11 @@ class _Executor:
             p: str(self.output_path(self.ctx.spec.node(p))) for p in node.parents
         }
         argv = _substitute(node.action.argv, str(target), parent_paths)
-        started = time.monotonic()
         try:
+            # A stale file must not pass for this run's output, so the check
+            # below can see a command that wrote nothing.
+            target.unlink(missing_ok=True)
+            started = time.monotonic()
             proc = subprocess.run(argv, cwd=self.workspace, capture_output=True)
         except OSError as exc:
             rec.ok = False
@@ -429,7 +433,8 @@ def read_run_log_tail(cache_root: Path | str) -> tuple[int, float]:
     Searches backwards from the end of the log, so the cost does not grow
     with the number of runs.  Bytes after the last newline are a record torn
     by a crash mid-append; they are cut off so the next append starts a line
-    of its own.  Call with the writer lock held.
+    of its own.  A complete record without a valid index and cumulative time
+    raises CacheError.  Call with the writer lock held.
     """
     path = run_log_path(cache_root)
     if not path.is_file() or path.stat().st_size == 0:  # mmap refuses empty files
@@ -443,8 +448,17 @@ def read_run_log_tail(cache_root: Path | str) -> tuple[int, float]:
             fh.truncate(end + 1)
     if end < 0:
         return 0, 0.0
-    record = json.loads(line)
-    return record["iteration_index"], record["totals"]["cumulative_seconds"]
+    try:
+        record = json.loads(line)
+        index, cumulative = record["iteration_index"], record["totals"]["cumulative_seconds"]
+    except (ValueError, TypeError, KeyError, RecursionError):
+        index = cumulative = None
+    # A cumulative time is a sum over runs, so it is only bounded by being finite.
+    if not (type(index) is int and index >= 0 and type(cumulative) in (int, float)
+            and 0 <= cumulative < math.inf):
+        raise CacheError(f"{path}: the last record is not a run report; "
+                         "deleting the file restarts the iteration count")
+    return index, cumulative
 
 
 def append_run_log(cache_root: Path | str, report: RunReport) -> None:

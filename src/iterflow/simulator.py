@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import KindAbsentError
+from .errors import IterflowError
 from .runner import CLOCK_SIMULATED, RunConfig, run_iteration
 from .workflow import KINDS, WorkflowSpec, serialize_workflow
 
@@ -41,8 +41,6 @@ class Modification:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    seed: int
-    kind_frequencies: tuple[float, float, float]
     steps: tuple[Modification, ...]
 
 
@@ -54,7 +52,7 @@ def generate_trace(
 ) -> IterationTrace:
     """Deterministic trace of ``n_iterations`` single-node edits.
 
-    Raises KindAbsentError when a sampled kind has no node in the workflow.
+    Raises IterflowError when a sampled kind has no node in the workflow.
     """
     if n_iterations < 1:
         raise ValueError("need at least one iteration")
@@ -76,18 +74,17 @@ def generate_trace(
                 break
         names = by_kind[kind]
         if not names:
-            raise KindAbsentError(kind)
+            raise IterflowError(f"workflow has no node of kind {kind!r}")
         node = names[rng.randrange(len(names))]
         steps.append(Modification(kind=kind, node=node, token=f"edit-{i:03d}"))
-    return IterationTrace(seed=seed, kind_frequencies=freqs, steps=tuple(steps))
+    return IterationTrace(tuple(steps))
 
 
 def idle_trace(spec: WorkflowSpec, n_iterations: int) -> IterationTrace:
     """A trace that reruns the workflow without editing anything."""
-    steps = tuple(
+    return IterationTrace(tuple(
         Modification(kind="", node=None, token=f"idle-{i:03d}") for i in range(n_iterations)
-    )
-    return IterationTrace(seed=0, kind_frequencies=(0.0, 0.0, 1.0), steps=steps)
+    ))
 
 
 def apply_step(spec: WorkflowSpec, step: Modification) -> WorkflowSpec:

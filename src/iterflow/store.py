@@ -47,19 +47,12 @@ import json
 import logging
 import os
 import re
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .changes import HASH_ALGORITHM
-from .errors import (
-    CacheError,
-    CacheLockedError,
-    CorruptEntryError,
-    EntryNotFoundError,
-    VersionMismatchError,
-)
+from .errors import CacheError, CacheLockedError
+from .workflow import is_byte_count, is_duration
 
 logger = logging.getLogger(__name__)
 
@@ -118,7 +111,6 @@ class HistoryRecord:
 @dataclass
 class CacheManifest:
     format_version: int = MANIFEST_VERSION
-    hash_algorithm: str = HASH_ALGORITHM
     entries: dict[str, CacheEntry] = field(default_factory=dict)
     previous_signatures: dict[str, str] = field(default_factory=dict)
     cost_history: dict[str, HistoryRecord] = field(default_factory=dict)
@@ -126,7 +118,6 @@ class CacheManifest:
     def to_json(self) -> dict:
         return {
             "format_version": self.format_version,
-            "hash_algorithm": self.hash_algorithm,
             "entries": {sig: e.to_json() for sig, e in sorted(self.entries.items())},
             "previous_signatures": dict(sorted(self.previous_signatures.items())),
             "cost_history": {
@@ -178,31 +169,20 @@ def _read_journal(root: Path) -> tuple[list[CacheEntry], int]:
     return entries, good
 
 
-_MAX_FLOAT = sys.float_info.max
-
-
-def _is_count(value: object) -> bool:
-    return type(value) is int and value >= 0  # exact, as in the spec parser: no bool
-
-
-def _is_duration(value: object) -> bool:
-    # NaN fails the comparison; the bound rejects infinities.
-    return (type(value) is float or type(value) is int) and 0 <= value <= _MAX_FLOAT
-
-
-# Straight-line checks, not a loop over a table of field types: every plan
-# and run opens the manifest, and on 400 entries such a loop cost about three
-# times as much as these.
+# The number checks are the spec parser's, since a cost read from here reaches
+# the same planner as a declared one.  Straight-line checks, not a loop over a
+# table of field types: every plan and run opens the manifest, and on 400
+# entries such a loop cost about three times as much as these.
 def _entry_fault(entry: CacheEntry) -> str | None:
     """Which value of ``entry`` has the wrong type, if any."""
     if type(entry.node_name) is not str:
         return "node_name is not a string"
-    if not _is_count(entry.output_bytes):
-        return "output_bytes is not an integer >= 0"
-    if not _is_count(entry.charged_bytes):
-        return "charged_bytes is not an integer >= 0"
-    if not _is_duration(entry.measured_compute_seconds):
-        return "measured_compute_seconds is not a finite number >= 0"
+    if not is_byte_count(entry.output_bytes):
+        return "output_bytes is not an integer >= 0 and <= 2**53"
+    if not is_byte_count(entry.charged_bytes):
+        return "charged_bytes is not an integer >= 0 and <= 2**53"
+    if not is_duration(entry.measured_compute_seconds):
+        return "measured_compute_seconds is not a finite number >= 0 and <= 9e9"
     if not _SIGNATURE.fullmatch(entry.signature):  # keeps every payload in objects/
         return "signature is not 64 lowercase hex digits"
     return None
@@ -210,12 +190,12 @@ def _entry_fault(entry: CacheEntry) -> str | None:
 
 def _history_fault(row: HistoryRecord) -> str | None:
     """Which value of ``row`` has the wrong type, if any."""
-    if not _is_duration(row.compute_seconds):
-        return "compute_seconds is not a finite number >= 0"
-    if not (row.load_seconds is None or _is_duration(row.load_seconds)):
-        return "load_seconds is neither null nor a finite number >= 0"
-    if not _is_count(row.output_bytes):
-        return "output_bytes is not an integer >= 0"
+    if not is_duration(row.compute_seconds):
+        return "compute_seconds is not a finite number >= 0 and <= 9e9"
+    if not (row.load_seconds is None or is_duration(row.load_seconds)):
+        return "load_seconds is neither null nor a finite number >= 0 and <= 9e9"
+    if not is_byte_count(row.output_bytes):
+        return "output_bytes is not an integer >= 0 and <= 2**53"
     return None
 
 
@@ -256,19 +236,15 @@ def _read_manifest_file(root: Path) -> CacheManifest:
         raise CacheError(f"{path}: not a JSON object")
     version = doc.get("format_version")
     if type(version) is not int or version > MANIFEST_VERSION:
-        raise VersionMismatchError(version, MANIFEST_VERSION)
-    if doc.get("hash_algorithm") != HASH_ALGORITHM:
-        logger.warning(
-            "cache %s was hashed with %r, engine uses %r; starting fresh",
-            root, doc.get("hash_algorithm"), HASH_ALGORITHM,
-        )
-        return CacheManifest()
+        raise CacheError(
+            f"cache manifest format {version} is newer than supported format {MANIFEST_VERSION}")
+    # Other top-level keys are ignored, such as the hash_algorithm that older
+    # manifests carry.
     previous = doc.get("previous_signatures", {})
     if not (type(previous) is dict and all(type(sig) is str for sig in previous.values())):
         raise CacheError(f"{path}: previous_signatures is not an object of strings")
     return CacheManifest(
         format_version=version,
-        hash_algorithm=HASH_ALGORITHM,
         entries=_records(path, doc, "entries", _entry, _entry_fault),
         previous_signatures=previous,
         cost_history=_records(path, doc, "cost_history",
@@ -280,10 +256,8 @@ def load_manifest(cache_root: Path | str) -> CacheManifest:
     """Read the manifest and replay the journal over it; nothing on disk
     means a cold start.
 
-    A manifest written by a newer format raises VersionMismatchError.  A
-    manifest hashed with a different algorithm invalidates the whole cache:
-    its entries are unusable because signatures can never match again.  The
-    journal is always this engine's, so it is replayed either way.
+    A manifest written by a newer format, or one that fails a check, raises
+    CacheError.
     """
     root = Path(cache_root)
     # Journal first: a writer that compacts in between has folded what was
@@ -480,17 +454,15 @@ class CacheStore:
         """Read a payload back, failing loudly if it is missing or torn."""
         entry = self.manifest.entries.get(signature)
         if entry is None:
-            raise EntryNotFoundError(signature)
+            raise CacheError(f"no cache entry for signature {signature}")
         path = self.root / entry.payload_path
         try:
             payload = path.read_bytes()
         except FileNotFoundError:
-            raise CorruptEntryError(signature, "payload file missing") from None
+            raise CacheError(f"cache entry {signature} is corrupt: payload file missing") from None
         if len(payload) != entry.output_bytes:
-            raise CorruptEntryError(
-                signature,
-                f"size mismatch: manifest says {entry.output_bytes}, file has {len(payload)}",
-            )
+            raise CacheError(f"cache entry {signature} is corrupt: size mismatch: "
+                             f"manifest says {entry.output_bytes}, file has {len(payload)}")
         return payload
 
     # -- maintenance ---------------------------------------------------

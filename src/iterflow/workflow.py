@@ -11,19 +11,14 @@ from __future__ import annotations
 
 import heapq
 import json
-import sys
+import math
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Mapping, NoReturn
 
-from .errors import (
-    CycleDetectedError,
-    DuplicateNameError,
-    NoOutputsError,
-    UnknownParentError,
-    WorkflowSyntaxError,
-)
+from .errors import IterflowError
 
 SPEC_VERSION = 1
 
@@ -33,7 +28,20 @@ KIND_ML = "ml"
 KIND_EVALUATION = "evaluation"
 KINDS = (KIND_PREPROCESSING, KIND_ML, KIND_EVALUATION)
 
-_MAX_FLOAT = sys.float_info.max
+# The planner turns seconds into integer microseconds and sums them over a
+# plan, and byte counts become load seconds; under these bounds every such
+# integer is exact as a float, and any sum of them converts back to one.
+_MAX_SECONDS = 9e9  # about 285 years: 9e15 microseconds, under 2**53
+_MAX_BYTES = 2**53
+
+
+def is_duration(value: object) -> bool:
+    # Exact types, as json.loads makes them: no bool.  NaN fails the comparison.
+    return (type(value) is float or type(value) is int) and 0 <= value <= _MAX_SECONDS
+
+
+def is_byte_count(value: object) -> bool:
+    return type(value) is int and 0 <= value <= _MAX_BYTES
 
 
 def _json_strs(items) -> str:
@@ -41,7 +49,7 @@ def _json_strs(items) -> str:
 
 
 def _json_number(value) -> str:
-    if type(value) is int or (type(value) is float and -_MAX_FLOAT <= value <= _MAX_FLOAT):
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
         return repr(value)
     return json.dumps(value)  # bool, NaN, infinities, subclasses
 
@@ -108,10 +116,6 @@ class OperatorNode:
     parents: tuple[str, ...] = ()
     sources: tuple[str, ...] = ()
     env_fingerprint: str | None = None
-
-    @property
-    def is_source(self) -> bool:
-        return not self.parents and bool(self.sources)
 
     def to_json(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
@@ -219,7 +223,7 @@ _SIMULATED_KEYS = frozenset({"type", "compute_seconds", "output_bytes"})
 
 
 def _fail(message: str) -> NoReturn:
-    raise WorkflowSyntaxError(message)
+    raise IterflowError(message)
 
 
 def _fail_keys(obj: Any, required: frozenset, allowed: frozenset, where: str) -> NoReturn:
@@ -251,12 +255,10 @@ def _parse_action(doc: Any, i: int) -> Action:
             _fail_keys(doc, _SIMULATED_KEYS, _SIMULATED_KEYS, f"nodes[{i}].action")
         seconds = doc["compute_seconds"]
         nbytes = doc["output_bytes"]
-        # NaN fails the comparison; the bound keeps float() finite.
-        if not ((type(seconds) is float or type(seconds) is int)
-                and 0 <= seconds <= _MAX_FLOAT):
-            _fail(f"nodes[{i}].action.compute_seconds: expected a number >= 0")
-        if not (type(nbytes) is int and nbytes >= 0):
-            _fail(f"nodes[{i}].action.output_bytes: expected an integer >= 0")
+        if not is_duration(seconds):
+            _fail(f"nodes[{i}].action.compute_seconds: expected a number >= 0 and <= 9e9")
+        if not is_byte_count(nbytes):
+            _fail(f"nodes[{i}].action.output_bytes: expected an integer >= 0 and <= 2**53")
         return SimulatedAction(float(seconds), nbytes)
     if kind == "command":
         if "inputs" in doc:
@@ -299,7 +301,8 @@ def _parse_node(doc: Any, i: int) -> OperatorNode:
 
 
 def _one_cycle(spec: WorkflowSpec) -> list[str]:
-    """One dependency cycle among the nodes the order left out.
+    """One dependency cycle among the nodes the order left out, its first
+    name repeated at the end.
 
     Every left-out node has a left-out parent, so walking from the smallest
     left-out name to its smallest left-out parent must repeat a name.
@@ -311,31 +314,42 @@ def _one_cycle(spec: WorkflowSpec) -> list[str]:
         name = min(p for p in spec.node(name).parents if p in left_out)
         if name in path:
             walked = list(path)
-            return walked[walked.index(name):]
+            return walked[walked.index(name):] + [name]
         path[name] = None
 
 
 def validate(spec: WorkflowSpec) -> WorkflowSpec:
     """Check every structural invariant; returns the spec for chaining."""
     seen: set[str] = set()
+    writers: dict[str, str] = {}  # normalized declared output -> its command
     for node in spec.nodes:
         if node.name in seen:
-            raise DuplicateNameError(node.name)
+            _fail(f"duplicate operator name: {node.name!r}")
         seen.add(node.name)
+        if type(node.action) is CommandAction:
+            writer = writers.setdefault(os.path.normpath(node.action.output), node.name)
+            if writer != node.name:
+                _fail(f"operators {writer!r} and {node.name!r} both declare output "
+                      f"{node.action.output!r}")
     for node in spec.nodes:
         for parent in node.parents:
             if parent not in seen:
-                raise UnknownParentError(node.name, parent)
+                _fail(f"operator {node.name!r} references undefined parent {parent!r}")
     if not spec.outputs:
-        raise NoOutputsError()
+        _fail("workflow declares no output nodes")
     for out in spec.outputs:
         if out not in seen:
             _fail(f"outputs: unknown node {out!r}")
     if len(spec.order) < len(spec.nodes):
-        raise CycleDetectedError(_one_cycle(spec))
+        _fail("dependency cycle: " + " -> ".join(_one_cycle(spec)))
     for node in spec.nodes:
         if not (node.parents or node.sources):
             _fail(f"operator {node.name!r} has neither parents nor declared sources")
+        for source in node.sources:
+            writer = writers.get(os.path.normpath(source))
+            if writer is not None:
+                _fail(f"operator {node.name!r} declares source {source!r}, "
+                      f"the output of operator {writer!r}")
     return spec
 
 
@@ -344,7 +358,7 @@ def parse_workflow(text: str) -> WorkflowSpec:
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits
-        raise WorkflowSyntaxError(f"not valid JSON: {exc}") from exc
+        raise IterflowError(f"not valid JSON: {exc}") from exc
     if not (type(doc) is dict and doc.keys() == _TOP_KEYS):
         _fail_keys(doc, _TOP_KEYS, _TOP_KEYS, "workflow")
     version = doc["version"]
@@ -365,11 +379,6 @@ def parse_workflow(text: str) -> WorkflowSpec:
 def serialize_workflow(spec: WorkflowSpec) -> str:
     """Inverse of parse_workflow; parse(serialize(s)) == s for valid specs."""
     return json.dumps(spec.to_json(), indent=2, sort_keys=True) + "\n"
-
-
-def topological_order(spec: WorkflowSpec) -> list[str]:
-    """Parents-first order, lexicographic among ready nodes (deterministic)."""
-    return list(spec.order)
 
 
 def prune_dead_operators(spec: WorkflowSpec) -> tuple[WorkflowSpec, set[str]]:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterflow.changes import compute_signatures, diff_iterations
-from iterflow.errors import MissingSourceError
+from iterflow.errors import IterflowError
 from iterflow.workflow import (
     CommandAction,
     OperatorNode,
@@ -56,7 +56,7 @@ def test_leaf_edit_leaves_ancestors_alone(workspace):
 
 def test_missing_source(workspace):
     spec = chain_spec("a", "b")
-    with pytest.raises(MissingSourceError):
+    with pytest.raises(IterflowError, match="declared source file is missing: "):
         compute_signatures(spec, workspace)
 
 
@@ -186,8 +186,13 @@ def test_signatures_match_the_golden_values(workspace):
     (workspace / "src").mkdir()
     (workspace / "src" / "a.txt").write_bytes(b"alpha\n")
     (workspace / "src" / "b.txt").write_bytes(b"\x00\xffbeta")
-    spec = parse_workflow(json.dumps(GOLDEN_SPEC))
-    assert compute_signatures(spec, workspace) == GOLDEN_SIGNATURES
+    # The parser now refuses big's 1e16 s, past the planner's bound, so big's
+    # action is put in after parsing; its definition text is unchanged.
+    nodes = [dict(node) for node in GOLDEN_SPEC["nodes"]]
+    nodes[1]["action"] = {**nodes[1]["action"], "compute_seconds": 1}
+    spec = parse_workflow(json.dumps({**GOLDEN_SPEC, "nodes": nodes}))
+    big = dataclasses.replace(spec.node("big"), action=SimulatedAction(1e16, 2**40))
+    assert compute_signatures(spec.replace_node(big), workspace) == GOLDEN_SIGNATURES
 
 
 _text = st.text(st.characters(exclude_categories=()), max_size=12)

@@ -9,7 +9,6 @@ import pytest
 import iterflow
 from iterflow import cli
 from iterflow.cli import main
-from iterflow.changes import HASH_ALGORITHM
 from iterflow.runner import DISK_BANDWIDTH, RunConfig, CLOCK_SIMULATED, run_iteration
 from iterflow.store import load_manifest
 from iterflow.workflow import serialize_workflow
@@ -151,11 +150,11 @@ class TestRun:
             assert "--budget-bytes: must be a nonnegative number of bytes" in err
         assert not cache.exists()
 
-    def test_dry_run_touches_nothing(self, env, capsys):
+    def test_plan_touches_nothing(self, env, capsys):
         ws, cache = env
         path = deploy(chain_spec("a", "b"), ws)
         code, out, _ = run_cli(
-            capsys, "run", *common(path, ws, cache), "--clock", "simulated", "--dry-run"
+            capsys, "plan", *common(path, ws, cache), "--clock", "simulated"
         )
         assert code == 0
         assert "total_cost_seconds" in out
@@ -241,6 +240,112 @@ class TestRun:
         assert history["upper"].load_seconds == warm["upper"]["wall_seconds"]
         assert history["raw"].output_bytes == len("hello\n")
         assert history["raw"].load_seconds is None
+
+
+def test_two_commands_declaring_one_output_exit_two(env, capsys):
+    ws, cache = env
+    (ws / "data").mkdir()
+    (ws / "data" / "a.txt").write_text("ALPHA\n")
+    (ws / "data" / "b.txt").write_text("BETA\n")
+
+    def copy(name, source):
+        return {"name": name, "kind": "ml",
+                "action": {"type": "command", "argv": ["sh", "-c", f"cat {source} > {{output}}"],
+                           "output": "out/x.txt"},
+                "parents": [], "sources": [source]}
+
+    path = ws / "workflow.json"
+    path.write_text(json.dumps({"version": 1, "nodes": [
+        copy("a", "data/a.txt"), copy("b", "data/b.txt"),
+        {"name": "c", "kind": "ml",
+         "action": {"type": "command", "argv": ["sh", "-c", "cat {parent:a} > {output}"],
+                    "output": "out/c.txt"},
+         "parents": ["a"], "sources": []},
+    ], "outputs": ["b", "c"]}))
+    code, out, err = run_cli(capsys, "run", *common(path, ws, cache))
+    assert code == 2
+    assert err == "error: operators 'a' and 'b' both declare output 'out/x.txt'\n"
+    assert not (ws / "out").exists()
+
+
+def _simulated_text(*nodes) -> str:
+    """A chain of simulated nodes, each given as (compute_seconds, output_bytes)
+    JSON number texts."""
+    docs = [
+        f'{{"name": "n{i}", "kind": "ml", "parents": {json.dumps([f"n{i - 1}"] if i else [])}, '
+        f'"sources": {json.dumps([] if i else ["in.txt"])}, "action": {{"type": "simulated", '
+        f'"compute_seconds": {seconds}, "output_bytes": {nbytes}}}}}'
+        for i, (seconds, nbytes) in enumerate(nodes)
+    ]
+    return f'{{"version": 1, "nodes": [{", ".join(docs)}], "outputs": ["n{len(nodes) - 1}"]}}'
+
+
+class TestDeclaredNumbers:
+    @pytest.mark.parametrize("seconds, nbytes, field", [
+        ("1e305", "10", "compute_seconds"),
+        ("1.0", "1" + "0" * 400, "output_bytes"),
+    ], ids=["seconds", "bytes"])
+    def test_spec_number_past_the_bound_exits_two(self, env, capsys, seconds, nbytes, field):
+        ws, cache = env
+        (ws / "in.txt").write_text("x")
+        (ws / "workflow.json").write_text(_simulated_text((seconds, nbytes)))
+        code, out, err = run_cli(capsys, "plan", *common(ws / "workflow.json", ws, cache),
+                                 "--clock", "simulated")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: nodes[0].action.{field}: expected ")
+
+    @pytest.mark.parametrize("row, field", [
+        ({"compute_seconds": 1e305}, "compute_seconds"),
+        ({"compute_seconds": 1.0, "output_bytes": 10**400}, "output_bytes"),
+    ], ids=["seconds", "bytes"])
+    def test_history_number_past_the_bound_exits_two(self, env, capsys, row, field):
+        ws, cache = env
+        (ws / "workflow.json").write_text(json.dumps({
+            "version": 1,
+            "nodes": [{"name": "a", "kind": "ml",
+                       "action": {"type": "command", "argv": ["true"], "output": "a.txt"},
+                       "parents": [], "sources": ["in.txt"]}],
+            "outputs": ["a"],
+        }))
+        (ws / "in.txt").write_text("x")
+        cache.mkdir()
+        (cache / "manifest.json").write_text(json.dumps({
+            "format_version": 1, "cost_history": {"a": row}}))
+        code, out, err = run_cli(capsys, "plan", *common(ws / "workflow.json", ws, cache))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {cache / 'manifest.json'}: cost_history.a.{field} ")
+
+    def test_largest_accepted_numbers_plan_and_run(self, env, capsys):
+        ws, cache = env
+        (ws / "in.txt").write_text("x")
+        largest = ("9e9", str(2**53))
+        (ws / "workflow.json").write_text(_simulated_text(largest, largest))
+        argv = [*common(ws / "workflow.json", ws, cache), "--clock", "simulated"]
+        code, out, _ = run_cli(capsys, "plan", *argv)
+        assert code == 0
+        assert "total_cost_seconds\t18000000000.000000" in out
+        for _ in range(2):  # the second run reads the first one's cumulative time
+            assert run_cli(capsys, "run", *argv)[0] == 0
+
+
+@pytest.mark.parametrize("line", [
+    '{"iteration_index": "x", "totals": {"cumulative_seconds": 1}}',
+    '{"a":1}',
+    "garbage",
+], ids=["index-not-an-integer", "no-index", "not-json"])
+def test_damaged_run_log_record_exits_two_and_names_the_file(env, capsys, line):
+    ws, cache = env
+    path = deploy(chain_spec("a", "b"), ws)
+    argv = ["run", *common(path, ws, cache), "--clock", "simulated"]
+    assert run_cli(capsys, *argv)[0] == 0
+    with open(cache / "runs.log", "a") as fh:
+        fh.write(line + "\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {cache / 'runs.log'}: the last record is not a run report")
 
 
 def test_import_does_not_load_numpy():
@@ -389,7 +494,7 @@ class TestCache:
         ws, cache = env
         cache.mkdir()
         if isinstance(doc, dict):
-            doc = {"format_version": 1, "hash_algorithm": HASH_ALGORITHM, **doc}
+            doc = {"format_version": 1, **doc}
         text = doc if isinstance(doc, str) else json.dumps(doc)
         (cache / "manifest.json").write_text(text)
         code, out, err = run_cli(capsys, "cache", "ls", "--cache", str(cache))
@@ -409,8 +514,7 @@ class TestCache:
         (ws / "in.txt").write_text("x")
         cache.mkdir()
         (cache / "manifest.json").write_text(json.dumps({
-            "format_version": 1, "hash_algorithm": HASH_ALGORITHM,
-            "cost_history": {"a": {"compute_seconds": "slow"}},
+            "format_version": 1, "cost_history": {"a": {"compute_seconds": "slow"}},
         }))
         code, out, err = run_cli(capsys, "plan", *common(ws / "workflow.json", ws, cache))
         assert code == 2
@@ -445,16 +549,12 @@ class TestCache:
 
 
 class TestSimulateCommand:
-    def test_simulate_writes_identical_table_to_stdout_and_file(self, env, capsys):
-        ws, cache = env
-        out_file = ws / "curve.tsv"
+    def test_simulate_writes_the_table_to_stdout(self, env, capsys):
         code, out, _ = run_cli(
             capsys, "simulate", "--scenario", "classification", "-n", "3",
             "--seed", "7", "--policies", "engine,materialize-none",
-            "--out", str(out_file),
         )
         assert code == 0
-        assert out_file.read_text() == out
         lines = out.strip().split("\n")
         assert len(lines) == 1 + 3 * 2
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iterflow import planner
-from iterflow.errors import TooLargeError
+from iterflow.errors import IterflowError
 from iterflow.planner import (
     CostRecord,
     NodeState,
@@ -126,7 +126,7 @@ class TestBruteforceExamples:
     def test_too_many_nodes_rejected(self):
         dag = {f"n{i:02d}": () for i in range(16)}
         costs = {name: CostRecord(1.0, 0.0) for name in dag}
-        with pytest.raises(TooLargeError):
+        with pytest.raises(IterflowError, match="exceeds the 15-node limit"):
             assign_states_bruteforce(dag, costs, set())
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from iterflow import runner
-from iterflow.errors import CacheLockedError, InvalidConfigError
+from iterflow.errors import CacheError, CacheLockedError, IterflowError
 from iterflow.planner import (
     ExecutionPlan,
     NodeState,
@@ -133,7 +133,7 @@ class TestSimulatedRuns:
         (ws / "data" / "in.txt").write_text("x")
         path = ws / "workflow.json"
         path.write_text(command_spec_text())
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(IterflowError, match="simulated clock requires simulated actions"):
             run_iteration(path, ws, cache, sim_config())
 
     def test_budget_caps_materialized_bytes(self, env):
@@ -384,6 +384,63 @@ class TestRealCommands:
             balance += _micros(wall_a)
         assert r == balance / 1e6
 
+    def test_command_that_stops_writing_its_output_fails(self, env):
+        ws, cache = env
+        (ws / "data").mkdir()
+        (ws / "data" / "in.txt").write_text("x")
+        path = ws / "workflow.json"
+
+        def write_spec(b_target):
+            path.write_text(json.dumps({"version": 1, "nodes": [
+                {"name": "a", "kind": "ml",
+                 "action": {"type": "command", "argv": ["sh", "-c", "echo ALPHA > {output}"],
+                            "output": "out/a.txt"},
+                 "parents": [], "sources": ["data/in.txt"]},
+                {"name": "b", "kind": "ml",
+                 "action": {"type": "command",
+                            "argv": ["sh", "-c", f"cat {{parent:a}} > {b_target}"],
+                            "output": "out/b.txt"},
+                 "parents": ["a"], "sources": []},
+            ], "outputs": ["b"]}))
+
+        write_spec("{output}")
+        assert run_iteration(path, ws, cache, RunConfig()).succeeded
+        write_spec("/dev/null")
+        report = run_iteration(path, ws, cache, RunConfig())
+        assert not report.succeeded
+        assert report.nodes["b"].detail == "declared output 'out/b.txt' was not produced"
+        assert report.nodes["b"].signature not in load_manifest(cache).entries
+        assert not (ws / "out" / "b.txt").exists()
+
+    def test_appending_command_starts_from_an_empty_output(self, env):
+        ws, cache = env
+        (ws / "data").mkdir()
+        path = ws / "workflow.json"
+        path.write_text(json.dumps({"version": 1, "nodes": [
+            {"name": "a", "kind": "ml",
+             "action": {"type": "command", "argv": ["sh", "-c", "cat data/a.txt >> {output}"],
+                        "output": "out/a.txt"},
+             "parents": [], "sources": ["data/a.txt"]},
+        ], "outputs": ["a"]}))
+        for version in ("v1", "v2"):
+            (ws / "data" / "a.txt").write_text(f"{version}\n")
+            report = run_iteration(path, ws, cache, RunConfig())
+        assert (ws / "out" / "a.txt").read_text() == "v2\n"
+        assert report.nodes["a"].materialized
+        with CacheStore(cache) as store:
+            assert store.get(report.nodes["a"].signature) == b"v2\n"
+
+    def test_output_that_cannot_be_removed_fails_the_node(self, env):
+        ws, cache = env
+        (ws / "data").mkdir()
+        (ws / "data" / "in.txt").write_text("abc\n")
+        (ws / "out" / "raw.txt").mkdir(parents=True)  # a directory is not unlinked
+        path = ws / "workflow.json"
+        path.write_text(command_spec_text())
+        report = run_iteration(path, ws, cache, RunConfig())
+        assert report.nodes["raw"].detail.startswith("failed to start: ")
+        assert report.nodes["upper"].detail == "skipped: upstream failure of raw"
+
     def test_failure_skips_dependents_but_not_independent_chains(self, env):
         ws, cache = env
         text = json.dumps({
@@ -436,10 +493,8 @@ class TestRealCommands:
 
         # the frontier load breaks mid-run; raw has no parents, so the
         # executor recomputes it instead of aborting
-        from iterflow.errors import CorruptEntryError
-
         def broken_get(self, signature):
-            raise CorruptEntryError(signature, "flaky disk")
+            raise CacheError(f"cache entry {signature} is corrupt: flaky disk")
 
         monkeypatch.setattr(CacheStore, "get", broken_get)
         report = run_iteration(path, ws, cache, RunConfig())
@@ -457,10 +512,8 @@ class TestRealCommands:
         run_iteration(path, ws, cache, RunConfig())
         (ws / "out" / "upper.txt").unlink()
 
-        from iterflow.errors import CorruptEntryError
-
         def broken_get(self, signature):
-            raise CorruptEntryError(signature, "flaky disk")
+            raise CacheError(f"cache entry {signature} is corrupt: flaky disk")
 
         monkeypatch.setattr(CacheStore, "get", broken_get)
         before = load_manifest(cache).entries
@@ -646,13 +699,11 @@ class TestRecomputeChainsInRuns:
                 dataclasses.replace(spec.node(name), env_fingerprint="v2"))
         path.write_text(serialize_workflow(spec))
 
-        from iterflow.errors import CorruptEntryError
-
         original_get = CacheStore.get
 
         def broken_get(self, signature):
             if self.manifest.entries[signature].node_name == "c":
-                raise CorruptEntryError(signature, "flaky disk")
+                raise CacheError(f"cache entry {signature} is corrupt: flaky disk")
             return original_get(self, signature)
 
         decided = {}

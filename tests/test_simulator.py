@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from iterflow.errors import KindAbsentError
+from iterflow.errors import IterflowError
 from iterflow.scenarios import load_scenario
 from iterflow.simulator import (
     format_table,
@@ -77,7 +77,7 @@ class TestGenerateTrace:
 
     def test_absent_kind_is_an_error(self):
         spec = sim_spec([sim_node("only", kind="ml")], outputs=("only",))
-        with pytest.raises(KindAbsentError):
+        with pytest.raises(IterflowError, match="workflow has no node of kind "):
             generate_trace(spec, (1.0, 0.0, 0.0), 3, seed=1)
 
     def test_frequencies_must_sum_to_one(self):

@@ -5,12 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from iterflow.errors import (
-    CacheLockedError,
-    CorruptEntryError,
-    EntryNotFoundError,
-    VersionMismatchError,
-)
+from iterflow.errors import CacheError, CacheLockedError
 from iterflow import store as store_module
 from iterflow.runner import record_load
 from iterflow.store import (
@@ -59,7 +54,7 @@ class TestPutGet:
 
     def test_get_unknown_signature(self, root):
         with CacheStore(root) as store:
-            with pytest.raises(EntryNotFoundError):
+            with pytest.raises(CacheError, match=f"no cache entry for signature {SIG_B}"):
                 store.get(SIG_B)
 
     def test_payload_path_on_disk_is_ignored(self, root, tmp_path):
@@ -80,7 +75,7 @@ class TestPutGet:
         with CacheStore(root) as store:
             entry = store.put("node", SIG_A, b"12345678", 1.0)
             (root / entry.payload_path).write_bytes(b"1234567")
-            with pytest.raises(CorruptEntryError):
+            with pytest.raises(CacheError, match="is corrupt: size mismatch"):
                 store.get(SIG_A)
 
     def test_load_time_moving_average(self):
@@ -113,14 +108,28 @@ class TestManifest:
     def test_newer_format_version_rejected(self, root):
         root.mkdir(parents=True)
         (root / "manifest.json").write_text(json.dumps({"format_version": 99}))
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(CacheError, match="format 99 is newer than supported format 1"):
             load_manifest(root)
 
-    def test_different_hash_algorithm_invalidates(self, root):
-        save_manifest(root, CacheManifest(hash_algorithm="md5"))
+    def _saved_manifest(self, root) -> dict:
+        with CacheStore(root) as store:
+            store.put("node", SIG_A, b"abc", 2.5)
+            store.manifest.cost_history["node"] = HistoryRecord(2.5, output_bytes=3)
+        return json.loads((root / "manifest.json").read_text())
+
+    def test_manifest_without_hash_algorithm_keeps_its_entries(self, root):
+        doc = self._saved_manifest(root)
+        doc.pop("hash_algorithm", None)
+        (root / "manifest.json").write_text(json.dumps(doc))
         manifest = load_manifest(root)
-        assert manifest.hash_algorithm == "sha256"
-        assert manifest.entries == {}
+        assert list(manifest.entries) == [SIG_A]
+        assert list(manifest.cost_history) == ["node"]
+
+    def test_manifest_that_still_names_a_hash_algorithm_opens_unchanged(self, root):
+        doc = self._saved_manifest(root)
+        assert "hash_algorithm" not in doc
+        (root / "manifest.json").write_text(json.dumps({**doc, "hash_algorithm": "sha256"}))
+        assert load_manifest(root).to_json() == doc
 
 
 class TestLocking:
@@ -152,7 +161,7 @@ class TestLocking:
         root.mkdir(parents=True)
         (root / "manifest.json").write_text(json.dumps({"format_version": 99}))
         for _ in range(2):
-            with pytest.raises(VersionMismatchError):
+            with pytest.raises(CacheError, match="is newer than supported format"):
                 CacheStore(root)
 
     def test_readers_need_no_lock(self, root):
